@@ -20,7 +20,6 @@ from .syntax import (
     Formula,
     ParseError,
     metrics,
-    normalize_variables,
     parse_formula,
     parse_formula_lines,
     print_formula,
@@ -122,10 +121,7 @@ def _emit(args, record: dict, text: str) -> None:
 
 def cmd_translate(args) -> int:
     for phi in _input_formulas(args):
-        normalized, _, _ = normalize_variables(phi)
-        ctx = embedding.build_context(normalized, args.dialect)
-        hatted = embedding.hat(normalized, ctx)
-        grounded = embedding.ground(hatted, ctx)
+        normalized, ctx, hatted, grounded = embedding.translate(phi, args.dialect)
         in_metrics, out_metrics = metrics(phi), metrics(grounded)
         record = {
             "command": "translate",
@@ -293,8 +289,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ParseError, DialectError, semantics.ModelError, ValueError, OSError) as err:
+    except (ParseError, DialectError, semantics.ModelError, ValueError, OSError,
+            decision.CapacityError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return 2
 
 

@@ -105,7 +105,7 @@ def bounded_sat(
                 for v in forced:
                     valuation[v] = all_states
                 model = KripkeModel(size, model.relations, valuation, model.star)
-            holds = semantics._Evaluator(model).sat(phi)
+            holds = semantics._evaluate(model, phi)
             if holds:
                 return SatResult(Verdict.SATISFIABLE, Witness(model, min(holds)), size)
     return SatResult(Verdict.UNKNOWN_AT_BOUND, None, max_states)

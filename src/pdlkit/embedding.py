@@ -15,7 +15,7 @@ original valuation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import semantics
 from .semantics import KripkeModel
@@ -26,22 +26,18 @@ from .syntax import (
     Box,
     Choice,
     Dialect,
-    Falsum,
     Formula,
     Implies,
-    Inter,
-    Par,
     Program,
-    Seq,
-    Special,
     Star,
-    Test,
     Var,
     conj,
     diamond,
+    fold,
     metrics,
     neg,
     normalize_variables,
+    rebuild,
     validate,
 )
 
@@ -97,41 +93,27 @@ def build_context(phi: Formula, dialect: Dialect) -> TranslationContext:
 
 def prime(phi: Formula, ctx: TranslationContext) -> Formula:
     """Guard every box body with the marker: ([alpha]psi)' = [alpha'](p_{n+1} -> psi')."""
-    match phi:
-        case Var(index):
-            if index > ctx.n:
-                raise EmbeddingError(f"variable p{index} exceeds context n={ctx.n}")
-            return phi
-        case Falsum():
-            return phi
-        case Implies(left, right):
-            return Implies(prime(left, ctx), prime(right, ctx))
-        case Box(program, body):
-            return Box(_prime_program(program, ctx), Implies(ctx.marker, prime(body, ctx)))
-    raise TypeError(f"not a formula: {phi!r}")
+    marker = ctx.marker
+
+    def visit(node, results):
+        kind = type(node)
+        if kind is Var and node.index > ctx.n:
+            raise EmbeddingError(f"variable p{node.index} exceeds context n={ctx.n}")
+        if kind is Atomic and node.index > ctx.l:
+            raise EmbeddingError(f"atomic program a{node.index} exceeds context l={ctx.l}")
+        if kind is Box:
+            program, body = results
+            return Box(program, Implies(marker, body))
+        return rebuild(node, results)
+
+    return fold(phi, visit)
 
 
-def _prime_program(alpha: Program, ctx: TranslationContext) -> Program:
-    match alpha:
-        case Atomic(index):
-            if index > ctx.l:
-                raise EmbeddingError(f"atomic program a{index} exceeds context l={ctx.l}")
-            return alpha
-        case Special():
-            return alpha
-        case Test(formula):
-            return Test(prime(formula, ctx))
-        case Seq(left, right):
-            return Seq(_prime_program(left, ctx), _prime_program(right, ctx))
-        case Choice(left, right):
-            return Choice(_prime_program(left, ctx), _prime_program(right, ctx))
-        case Inter(left, right):
-            return Inter(_prime_program(left, ctx), _prime_program(right, ctx))
-        case Par(left, right):
-            return Par(_prime_program(left, ctx), _prime_program(right, ctx))
-        case Star(inner):
-            return Star(_prime_program(inner, ctx))
-    raise TypeError(f"not a program: {alpha!r}")
+class _Top(NamedTuple):
+    """A box at the top of a subterm, with the boxes at the top of its body."""
+
+    program: Program
+    below: tuple
 
 
 def nested_chains(phi: Formula) -> list[list[Program]]:
@@ -142,39 +124,25 @@ def nested_chains(phi: Formula) -> list[list[Program]]:
     Chains are listed in left-to-right textual order.
     """
 
-    def top_boxes(node: Formula) -> list[tuple[Program, Formula]]:
-        match node:
-            case Var() | Falsum():
-                return []
-            case Implies(left, right):
-                return top_boxes(left) + top_boxes(right)
-            case Box(program, body):
-                return [(program, body)] + test_boxes(program)
-        raise TypeError(f"not a formula: {node!r}")
+    # A node's value nests the boxes at its top in textual order: a tuple
+    # of _Top entries and further such tuples, empty when there is no box.
+    def visit(node, results):
+        if type(node) is Box:
+            results = [_Top(node.program, results[1]), results[0]]
+        return tuple(value for value in results if value)
 
-    def test_boxes(alpha: Program) -> list[tuple[Program, Formula]]:
-        match alpha:
-            case Atomic() | Special():
-                return []
-            case Test(formula):
-                return top_boxes(formula)
-            case Seq(left, right) | Choice(left, right) | Inter(left, right) | Par(left, right):
-                return test_boxes(left) + test_boxes(right)
-            case Star(inner):
-                return test_boxes(inner)
-        raise TypeError(f"not a program: {alpha!r}")
-
-    def chains_from(boxes: list[tuple[Program, Formula]]) -> list[list[Program]]:
-        chains = []
-        for program, body in boxes:
-            children = top_boxes(body)
-            if not children:
-                chains.append([program])
-            else:
-                chains.extend([program] + tail for tail in chains_from(children))
-        return chains
-
-    return chains_from(top_boxes(phi))
+    chains = []
+    # (value, programs of the boxes enclosing it)
+    stack = [(fold(phi, visit), ())]
+    while stack:
+        value, path = stack.pop()
+        if type(value) is not _Top:
+            stack.extend((part, path) for part in reversed(value))
+        elif value.below:
+            stack.append((value.below, path + (value.program,)))
+        else:
+            chains.append([*path, value.program])
+    return chains
 
 
 def theta(ctx: TranslationContext, phi: Formula) -> Formula:
@@ -218,14 +186,17 @@ def gadget_model(m: int, b: int) -> KripkeModel:
     """The m-th gadget: root 0, looping hub 1, finite chain 2..m+1.
 
     R_b is the transitive closure of root->hub, hub->hub, root->2, and the
-    chain edges; every other relation and every valuation is empty. The
-    root is the unique state satisfying marker_formula_A(m, b).
+    chain edges 2->3->..->m+1, written out: the root sees the hub and every
+    chain state, and each chain state sees the chain states after it. Every
+    other relation and every valuation is empty. The root is the unique
+    state satisfying marker_formula_A(m, b).
     """
     if m < 1:
         raise EmbeddingError(f"gadget index must be >= 1, got {m}")
-    base = {(0, 1), (1, 1), (0, 2)}
-    base.update((1 + i, 2 + i) for i in range(1, m))
-    return KripkeModel(m + 2, {b: semantics.transitive_closure(base)}, {})
+    edges = {(0, 1), (1, 1)}
+    edges.update((0, k) for k in range(2, m + 2))
+    edges.update((j, k) for j in range(2, m + 2) for k in range(j + 1, m + 2))
+    return KripkeModel(m + 2, {b: edges}, {})
 
 
 def _diamonds(count: int, b: int, body: Formula) -> Formula:
@@ -258,47 +229,37 @@ def ground(phi_hat: Formula, ctx: TranslationContext) -> Formula:
     """Simultaneously replace p_i by B_i for i = 1..n+1; output is variable-free."""
     table = {i: marker_formula_B(i, ctx.b) for i in range(1, ctx.n + 2)}
 
-    def walk_formula(node: Formula) -> Formula:
-        match node:
-            case Var(index):
-                if index not in table:
-                    raise EmbeddingError(f"variable p{index} exceeds context n+1={ctx.n + 1}")
-                return table[index]
-            case Falsum():
-                return node
-            case Implies(left, right):
-                return Implies(walk_formula(left), walk_formula(right))
-            case Box(program, body):
-                return Box(walk_program(program), walk_formula(body))
-        raise TypeError(f"not a formula: {node!r}")
+    def visit(node, results):
+        if type(node) is Var:
+            if node.index not in table:
+                raise EmbeddingError(f"variable p{node.index} exceeds context n+1={ctx.n + 1}")
+            return table[node.index]
+        return rebuild(node, results)
 
-    def walk_program(alpha: Program) -> Program:
-        match alpha:
-            case Atomic() | Special():
-                return alpha
-            case Test(formula):
-                return Test(walk_formula(formula))
-            case Seq(left, right):
-                return Seq(walk_program(left), walk_program(right))
-            case Choice(left, right):
-                return Choice(walk_program(left), walk_program(right))
-            case Inter(left, right):
-                return Inter(walk_program(left), walk_program(right))
-            case Par(left, right):
-                return Par(walk_program(left), walk_program(right))
-            case Star(inner):
-                return Star(walk_program(inner))
-        raise TypeError(f"not a program: {alpha!r}")
+    return fold(phi_hat, visit)
 
-    return walk_formula(phi_hat)
+
+class Translation(NamedTuple):
+    """Every stage of one embedding run."""
+
+    normalized: Formula
+    ctx: TranslationContext
+    hatted: Formula
+    grounded: Formula
+
+
+def translate(phi: Formula, dialect: Dialect) -> Translation:
+    """Normalize, hat and ground phi, keeping each stage."""
+    normalized, _, _ = normalize_variables(phi)
+    ctx = build_context(normalized, dialect)
+    hatted = hat(normalized, ctx)
+    return Translation(normalized, ctx, hatted, ground(hatted, ctx))
 
 
 def embed(phi: Formula, dialect: Dialect) -> Formula:
     """Full pipeline: normalize, hat, ground. Output is variable-free and
     equisatisfiable with phi."""
-    normalized, _, _ = normalize_variables(phi)
-    ctx = build_context(normalized, dialect)
-    return ground(hat(normalized, ctx), ctx)
+    return translate(phi, dialect).grounded
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ from .syntax import (
     diamond,
     metrics,
     neg,
-    normalize_variables,
 )
 
 
@@ -169,12 +168,9 @@ class FuzzReport:
         return not self.failures
 
 
-def _blowup_ratio(phi: Formula, dialect: Dialect) -> tuple[float, Formula]:
-    normalized, _, _ = normalize_variables(phi)
-    ctx = embedding.build_context(normalized, dialect)
-    grounded = embedding.ground(embedding.hat(normalized, ctx), ctx)
-    base = metrics(normalized).size + ctx.n + ctx.l
-    return metrics(grounded).size / (base * base), grounded
+def _blowup_ratio(translation: embedding.Translation) -> float:
+    base = metrics(translation.normalized).size + translation.ctx.n + translation.ctx.l
+    return metrics(translation.grounded).size / (base * base)
 
 
 def run_complete_fuzz(
@@ -190,10 +186,10 @@ def run_complete_fuzz(
     report = FuzzReport("complete", Dialect.PDL, seed)
     for phi in formula_corpus(seed, count, Dialect.PDL, max_size, max_vars, max_atoms):
         report.total += 1
-        ratio, grounded = _blowup_ratio(phi, Dialect.PDL)
-        report.blowup_constant = max(report.blowup_constant, ratio)
+        translation = embedding.translate(phi, Dialect.PDL)
+        report.blowup_constant = max(report.blowup_constant, _blowup_ratio(translation))
         direct = decision.pdl_sat(phi, max_nodes=max_nodes)
-        translated = decision.pdl_sat(grounded, max_nodes=max_nodes)
+        translated = decision.pdl_sat(translation.grounded, max_nodes=max_nodes)
         report.checked += 1
         if direct.verdict is decision.Verdict.SATISFIABLE:
             report.sat_count += 1
@@ -228,11 +224,9 @@ def run_witness_fuzz(
         attempts_left -= 1
         phi = random_formula(rng, dialect, max_size, max_vars, max_atoms)
         report.total += 1
-        normalized, _, _ = normalize_variables(phi)
-        ctx = embedding.build_context(normalized, dialect)
-        hatted = embedding.hat(normalized, ctx)
-        ratio, grounded = _blowup_ratio(phi, dialect)
-        report.blowup_constant = max(report.blowup_constant, ratio)
+        translation = embedding.translate(phi, dialect)
+        _, ctx, hatted, grounded = translation
+        report.blowup_constant = max(report.blowup_constant, _blowup_ratio(translation))
         found = decision.bounded_sat(
             hatted,
             dialect,

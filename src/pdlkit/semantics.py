@@ -31,8 +31,8 @@ from .syntax import (
     Star,
     Test,
     Var,
+    fold,
     validate,
-    validate_program,
 )
 
 Pair = tuple[int, int]
@@ -156,132 +156,89 @@ def rtc_worklist(pairs: Iterable[Pair], num_states: int) -> Relation:
     return frozenset(closure)
 
 
-def transitive_closure(pairs: Iterable[Pair]) -> Relation:
-    """Transitive (not reflexive) closure of a pair set."""
-    closure = {(int(s), int(t)) for s, t in pairs}
-    changed = True
-    while changed:
-        changed = False
-        for (a, b), (c, d) in itertools.product(tuple(closure), repeat=2):
-            if b == c and (a, d) not in closure:
-                closure.add((a, d))
-                changed = True
-    return frozenset(closure)
-
-
 # ---------------------------------------------------------------------------
 # Evaluation: relations and satisfaction by simultaneous induction
 
-class _Evaluator:
-    """Memoizes truth sets and program relations for one model."""
+def _evaluate(model: KripkeModel, root: Formula | Program):
+    """Truth set of a formula or relation of a program, in one fold over it;
+    each shared subterm is evaluated once."""
+    states = model.states
 
-    def __init__(self, model: KripkeModel):
-        self.model = model
-        self._sat: dict[Formula, frozenset[int]] = {}
-        self._rel: dict[Program, Relation] = {}
-
-    def sat(self, phi: Formula) -> frozenset[int]:
-        cached = self._sat.get(phi)
-        if cached is not None:
-            return cached
-        model = self.model
-        match phi:
+    def visit(node, results):
+        match node:
             case Var(index):
-                result = model.valuation.get(index, frozenset())
+                return model.valuation.get(index, frozenset())
             case Falsum():
-                result = frozenset()
-            case Implies(left, right):
-                holds_left = self.sat(left)
-                holds_right = self.sat(right)
-                result = frozenset(
-                    s for s in model.states if s not in holds_left or s in holds_right
-                )
-            case Box(program, body):
-                rel = self.rel(program)
-                holds_body = self.sat(body)
+                return frozenset()
+            case Implies():
+                holds_left, holds_right = results
+                return frozenset(s for s in states if s not in holds_left or s in holds_right)
+            case Box():
+                rel, holds_body = results
                 failing = {s for s, t in rel if t not in holds_body}
-                result = frozenset(s for s in model.states if s not in failing)
-            case _:
-                raise TypeError(f"not a formula: {phi!r}")
-        self._sat[phi] = result
-        return result
-
-    def rel(self, alpha: Program) -> Relation:
-        cached = self._rel.get(alpha)
-        if cached is not None:
-            return cached
-        model = self.model
-        match alpha:
+                return frozenset(s for s in states if s not in failing)
             case Atomic(index):
-                result = model.relations.get(index, frozenset())
+                return model.relations.get(index, frozenset())
             case Special(kind):
-                result = self._special(kind)
-            case Test(formula):
-                result = frozenset((s, s) for s in self.sat(formula))
-            case Seq(left, right):
-                left_rel, right_rel = self.rel(left), self.rel(right)
+                return _special(model, kind)
+            case Test():
+                return frozenset((s, s) for s in results[0])
+            case Seq():
+                left_rel, right_rel = results
                 by_source: dict[int, list[int]] = {}
                 for u, v in right_rel:
                     by_source.setdefault(u, []).append(v)
-                result = frozenset(
-                    (s, v) for s, u in left_rel for v in by_source.get(u, ())
-                )
-            case Choice(left, right):
-                result = self.rel(left) | self.rel(right)
-            case Inter(left, right):
-                result = self.rel(left) & self.rel(right)
-            case Par(left, right):
-                result = self._par(left, right)
-            case Star(inner):
-                result = rtc_matrix(self.rel(inner), model.num_states)
-            case _:
-                raise TypeError(f"not a program: {alpha!r}")
-        self._rel[alpha] = result
-        return result
+                return frozenset((s, v) for s, u in left_rel for v in by_source.get(u, ()))
+            case Choice():
+                return results[0] | results[1]
+            case Inter():
+                return results[0] & results[1]
+            case Par():
+                return _par(model, *results)
+            case Star():
+                return rtc_matrix(results[0], model.num_states)
 
-    def _star_entries(self):
-        if self.model.star is None:
-            raise MissingStarError(
-                "model has no star function but a PRSPDL construct was evaluated"
-            )
-        return self.model.star.items()
+    return fold(root, visit)
 
-    def _special(self, kind: str) -> Relation:
-        pairs = set()
-        for (x, y), result in self._star_entries():
-            for s in result:
-                # s is composed from x and y: s in x*y
-                if kind == "r1":
-                    pairs.add((s, x))
-                elif kind == "r2":
-                    pairs.add((s, y))
-                elif kind == "s1":
-                    pairs.add((x, s))
-                else:  # s2
-                    pairs.add((y, s))
-        return frozenset(pairs)
 
-    def _par(self, left: Program, right: Program) -> Relation:
-        left_rel, right_rel = self.rel(left), self.rel(right)
-        entries = tuple(self._star_entries())
-        pairs = set()
-        for (x1, x2), sources in entries:
-            for (y1, y2), targets in entries:
-                if (x1, y1) in left_rel and (x2, y2) in right_rel:
-                    pairs.update(itertools.product(sources, targets))
-        return frozenset(pairs)
+def _star_entries(model: KripkeModel):
+    if model.star is None:
+        raise MissingStarError(
+            "model has no star function but a PRSPDL construct was evaluated"
+        )
+    return model.star.items()
+
+
+def _special(model: KripkeModel, kind: str) -> Relation:
+    # s is composed from x and y (s in x*y): r1/r2 lead from s to x/y,
+    # s1/s2 from x/y to s
+    pairs = set()
+    for (x, y), result in _star_entries(model):
+        part = x if kind[1] == "1" else y
+        pairs.update((s, part) if kind[0] == "r" else (part, s) for s in result)
+    return frozenset(pairs)
+
+
+def _par(model: KripkeModel, left_rel: Relation, right_rel: Relation) -> Relation:
+    entries = tuple(_star_entries(model))
+    pairs = set()
+    for (x1, x2), sources in entries:
+        for (y1, y2), targets in entries:
+            if (x1, y1) in left_rel and (x2, y2) in right_rel:
+                pairs.update(itertools.product(sources, targets))
+    return frozenset(pairs)
 
 
 def relation_of(model: KripkeModel, alpha: Program, dialect: Dialect) -> Relation:
     """Accessibility relation of a compound program term."""
-    validate_program(alpha, dialect)
-    return _Evaluator(model).rel(alpha)
+    validate(alpha, dialect)
+    return _evaluate(model, alpha)
 
 
 def truth_set(model: KripkeModel, phi: Formula, dialect: Dialect) -> frozenset[int]:
     """All states satisfying phi, with subterm results cached across the formula."""
     validate(phi, dialect)
-    return _Evaluator(model).sat(phi)
+    return _evaluate(model, phi)
 
 
 def check(model: KripkeModel, state: int, phi: Formula, dialect: Dialect) -> bool:
@@ -419,19 +376,25 @@ def model_from_json(text: str) -> KripkeModel:
             raise ModelError(f"bad key {name!r}, expected {prefix}<index>")
         return int(name[1:])
 
+    def integer(value) -> int:
+        # bool is a subclass of int, and floats and strings would be coerced
+        if type(value) is not int:
+            raise ModelError(f"expected a JSON integer, got {value!r}")
+        return value
+
     try:
         relations = {
-            parse_index(name, "a"): {(int(s), int(t)) for s, t in pairs}
+            parse_index(name, "a"): {(integer(s), integer(t)) for s, t in pairs}
             for name, pairs in obj.get("relations", {}).items()
         }
         valuation = {
-            parse_index(name, "p"): {int(s) for s in states}
+            parse_index(name, "p"): {integer(s) for s in states}
             for name, states in obj.get("valuation", {}).items()
         }
         star = None
         if "star" in obj:
-            star = {(int(x), int(y)): {int(z) for z in zs} for x, y, zs in obj["star"]}
-        return KripkeModel(int(obj["states"]), relations, valuation, star)
+            star = {(integer(x), integer(y)): {integer(z) for z in zs} for x, y, zs in obj["star"]}
+        return KripkeModel(integer(obj["states"]), relations, valuation, star)
     except (TypeError, ValueError, KeyError) as err:
         if isinstance(err, ModelError):
             raise

@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Iterator, Union
 
 
@@ -212,24 +213,73 @@ _PROGRAM_NAMES = {
 }
 
 
-def validate_program(alpha: Program, dialect: Dialect) -> None:
-    """Raise DialectError if the program uses a constructor outside the dialect."""
+def validate(root: Union[Formula, Program], dialect: Dialect) -> None:
+    """Raise DialectError if a formula or program uses a program constructor
+    outside the dialect."""
     allowed = _ALLOWED[dialect]
-    for node in iter_nodes(alpha):
+    for node in iter_nodes(root):
         if isinstance(node, Program) and not isinstance(node, allowed):
             raise DialectError(
                 f"{_PROGRAM_NAMES[type(node)]} is not available under {dialect.value.upper()}"
             )
 
 
-def validate(phi: Formula, dialect: Dialect) -> None:
-    """Raise DialectError if any program in the formula is outside the dialect."""
-    allowed = _ALLOWED[dialect]
-    for node in iter_nodes(phi):
-        if isinstance(node, Program) and not isinstance(node, allowed):
-            raise DialectError(
-                f"{_PROGRAM_NAMES[type(node)]} is not available under {dialect.value.upper()}"
-            )
+# ---------------------------------------------------------------------------
+# Traversal
+#
+# Structural walks go through children() and fold(), the printer through its
+# own loop; each keeps its own stack, so none is limited by recursion depth.
+
+# Subterms of each node type, in constructor order.
+_CHILDREN = {
+    **dict.fromkeys((Var, Falsum, Atomic, Special), lambda node: ()),
+    **dict.fromkeys((Implies, Seq, Choice, Inter, Par), attrgetter("left", "right")),
+    Box: attrgetter("program", "body"),
+    Test: lambda node: (node.formula,),
+    Star: lambda node: (node.inner,),
+}
+
+
+def children(node: Union[Formula, Program]) -> tuple:
+    """The immediate subterms of a node, in constructor order."""
+    try:
+        subterms = _CHILDREN[type(node)]
+    except KeyError:
+        raise TypeError(f"not a formula or program node: {node!r}") from None
+    return subterms(node)
+
+
+def rebuild(node: Union[Formula, Program], results) -> Union[Formula, Program]:
+    """The node with its subterms replaced by results; the node itself when
+    no subterm changed."""
+    if all(new is old for new, old in zip(results, children(node))):
+        return node
+    return type(node)(*results)
+
+
+def fold(root: Union[Formula, Program], visit):
+    """Post-order fold: visit(node, results) gets the results of the node's
+    children in constructor order, and its value is the node's result.
+
+    Children are visited left to right. Results are memoized by node
+    identity, so a subterm shared within the root is visited once.
+    """
+    done: dict[int, object] = {}
+    # An entry is (node, None) on the way down, (node, kids) on the way up;
+    # a leaf is visited on the way down.
+    stack: list = [(root, None)]
+    while stack:
+        node, kids = stack.pop()
+        if kids is None:
+            if id(node) in done:
+                continue
+            kids = children(node)
+            if kids:
+                stack.append((node, kids))
+                stack.extend([(kid, None) for kid in reversed(kids)])
+                continue
+        done[id(node)] = visit(node, [done[id(kid)] for kid in kids])
+    return done[id(root)]
 
 
 def iter_nodes(root: Union[Formula, Program]) -> Iterator[Union[Formula, Program]]:
@@ -238,22 +288,7 @@ def iter_nodes(root: Union[Formula, Program]) -> Iterator[Union[Formula, Program
     while stack:
         node = stack.pop()
         yield node
-        match node:
-            case Implies(left, right):
-                stack.append(right)
-                stack.append(left)
-            case Box(program, body):
-                stack.append(body)
-                stack.append(program)
-            case Test(formula):
-                stack.append(formula)
-            case Seq(left, right) | Choice(left, right) | Inter(left, right) | Par(left, right):
-                stack.append(right)
-                stack.append(left)
-            case Star(inner):
-                stack.append(inner)
-            case _:
-                pass
+        stack.extend(reversed(children(node)))
 
 
 @dataclass(frozen=True)
@@ -268,70 +303,38 @@ class FormulaMetrics:
 
 def metrics(phi: Formula) -> FormulaMetrics:
     """Node count, variable/atom index sets, and modal nesting depth."""
-    size = 0
     variables = set()
     atoms = set()
-    for node in iter_nodes(phi):
-        size += 1
-        if isinstance(node, Var):
+
+    def visit(node, results):
+        # (size, modal depth) of the node
+        kind = type(node)
+        if kind is Var:
             variables.add(node.index)
-        elif isinstance(node, Atomic):
+        elif kind is Atomic:
             atoms.add(node.index)
-    return FormulaMetrics(size, frozenset(variables), frozenset(atoms), _modal_depth(phi))
+        elif kind is Box:
+            (program_size, program_depth), (body_size, body_depth) = results
+            return 1 + program_size + body_size, max(program_depth, 1 + body_depth)
+        size, depth = 1, 0
+        for child_size, child_depth in results:
+            size += child_size
+            depth = max(depth, child_depth)
+        return size, depth
 
-
-def _modal_depth(node: Union[Formula, Program]) -> int:
-    match node:
-        case Var() | Falsum() | Atomic() | Special():
-            return 0
-        case Implies(left, right):
-            return max(_modal_depth(left), _modal_depth(right))
-        case Box(program, body):
-            return max(_modal_depth(program), 1 + _modal_depth(body))
-        case Test(formula):
-            return _modal_depth(formula)
-        case Seq(left, right) | Choice(left, right) | Inter(left, right) | Par(left, right):
-            return max(_modal_depth(left), _modal_depth(right))
-        case Star(inner):
-            return _modal_depth(inner)
-    raise TypeError(f"not a formula or program node: {node!r}")
+    size, depth = fold(phi, visit)
+    return FormulaMetrics(size, frozenset(variables), frozenset(atoms), depth)
 
 
 def substitute(phi: Formula, var_index: int, psi: Formula) -> Formula:
     """Replace every occurrence of p<var_index> by psi, including inside tests."""
-    return _subst_formula(phi, var_index, psi)
 
+    def visit(node, results):
+        if type(node) is Var and node.index == var_index:
+            return psi
+        return rebuild(node, results)
 
-def _subst_formula(phi: Formula, i: int, psi: Formula) -> Formula:
-    match phi:
-        case Var(index):
-            return psi if index == i else phi
-        case Falsum():
-            return phi
-        case Implies(left, right):
-            return Implies(_subst_formula(left, i, psi), _subst_formula(right, i, psi))
-        case Box(program, body):
-            return Box(_subst_program(program, i, psi), _subst_formula(body, i, psi))
-    raise TypeError(f"not a formula: {phi!r}")
-
-
-def _subst_program(alpha: Program, i: int, psi: Formula) -> Program:
-    match alpha:
-        case Atomic() | Special():
-            return alpha
-        case Test(formula):
-            return Test(_subst_formula(formula, i, psi))
-        case Seq(left, right):
-            return Seq(_subst_program(left, i, psi), _subst_program(right, i, psi))
-        case Choice(left, right):
-            return Choice(_subst_program(left, i, psi), _subst_program(right, i, psi))
-        case Inter(left, right):
-            return Inter(_subst_program(left, i, psi), _subst_program(right, i, psi))
-        case Par(left, right):
-            return Par(_subst_program(left, i, psi), _subst_program(right, i, psi))
-        case Star(inner):
-            return Star(_subst_program(inner, i, psi))
-    raise TypeError(f"not a program: {alpha!r}")
+    return fold(phi, visit)
 
 
 def normalize_variables(phi: Formula) -> tuple[Formula, dict[int, int], dict[int, int]]:
@@ -342,46 +345,17 @@ def normalize_variables(phi: Formula) -> tuple[Formula, dict[int, int], dict[int
     """
     var_map: dict[int, int] = {}
     atom_map: dict[int, int] = {}
-    for node in iter_nodes(phi):
-        if isinstance(node, Var) and node.index not in var_map:
-            var_map[node.index] = len(var_map) + 1
-        elif isinstance(node, Atomic) and node.index not in atom_map:
-            atom_map[node.index] = len(atom_map) + 1
-    return _rename_formula(phi, var_map, atom_map), var_map, atom_map
 
+    def visit(node, results):
+        # fold meets the leaves in textual order, so first visits number them
+        kind = type(node)
+        if kind is Var or kind is Atomic:
+            names = var_map if kind is Var else atom_map
+            index = names.setdefault(node.index, len(names) + 1)
+            return node if index == node.index else kind(index)
+        return rebuild(node, results)
 
-def _rename_formula(phi: Formula, vmap: dict[int, int], amap: dict[int, int]) -> Formula:
-    match phi:
-        case Var(index):
-            return Var(vmap[index])
-        case Falsum():
-            return phi
-        case Implies(left, right):
-            return Implies(_rename_formula(left, vmap, amap), _rename_formula(right, vmap, amap))
-        case Box(program, body):
-            return Box(_rename_program(program, vmap, amap), _rename_formula(body, vmap, amap))
-    raise TypeError(f"not a formula: {phi!r}")
-
-
-def _rename_program(alpha: Program, vmap: dict[int, int], amap: dict[int, int]) -> Program:
-    match alpha:
-        case Atomic(index):
-            return Atomic(amap[index])
-        case Special():
-            return alpha
-        case Test(formula):
-            return Test(_rename_formula(formula, vmap, amap))
-        case Seq(left, right):
-            return Seq(_rename_program(left, vmap, amap), _rename_program(right, vmap, amap))
-        case Choice(left, right):
-            return Choice(_rename_program(left, vmap, amap), _rename_program(right, vmap, amap))
-        case Inter(left, right):
-            return Inter(_rename_program(left, vmap, amap), _rename_program(right, vmap, amap))
-        case Par(left, right):
-            return Par(_rename_program(left, vmap, amap), _rename_program(right, vmap, amap))
-        case Star(inner):
-            return Star(_rename_program(inner, vmap, amap))
-    raise TypeError(f"not a program: {alpha!r}")
+    return fold(phi, visit), var_map, atom_map
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +589,7 @@ def parse_program(text: str, dialect: Dialect) -> Program:
     tok = parser.peek()
     if tok.kind != "eof":
         raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
-    validate_program(alpha, dialect)
+    validate(alpha, dialect)
     return alpha
 
 
@@ -638,61 +612,67 @@ _P_PAR, _P_CHOICE, _P_INTER, _P_SEQ, _P_POSTFIX, _P_ATOM = 1, 2, 3, 4, 5, 6
 
 def print_formula(phi: Formula) -> str:
     """Render a formula; parse_formula inverts this exactly."""
-    text, _ = _render_formula(phi)
-    return text
+    return _print(phi)
 
 
 def print_program(alpha: Program) -> str:
     """Render a program; parse_program inverts this exactly."""
-    text, _ = _render_program(alpha)
-    return text
+    return _print(alpha)
 
 
-def _fparen(node: Formula, min_level: int) -> str:
-    text, level = _render_formula(node)
-    return f"({text})" if level < min_level else text
+def _print(root: Union[Formula, Program]) -> str:
+    # Not a fold: memoized subterm texts would take memory quadratic in depth.
+    # The stack holds text still to write and (node, minimum level) pairs still
+    # to lay out, a node below its minimum level being parenthesized; output
+    # goes to one byte buffer, a byte per character.
+    out = bytearray()
+    stack: list = [(root, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out += item.encode()
+            continue
+        node, min_level = item
+        level, pieces = _layout(node)
+        if level < min_level:
+            out += b"("
+            stack.append(")")
+        stack.extend(reversed(pieces))
+    return out.decode()
 
 
-def _render_formula(phi: Formula) -> tuple[str, int]:
-    match phi:
-        case Implies(Falsum(), Falsum()):
-            return "true", _F_ATOM
-        case Implies(Box(program, Implies(body, Falsum())), Falsum()):
-            return f"<{print_program(program)}>{_fparen(body, _F_UNARY)}", _F_UNARY
+def _layout(node: Union[Formula, Program]) -> tuple[int, tuple]:
+    """A node's precedence level and its pieces: text, or (subterm, minimum level)."""
+    match node:
         case Implies(left, Falsum()):
-            return f"~{_fparen(left, _F_UNARY)}", _F_UNARY
-        case Var(index):
-            return f"p{index}", _F_ATOM
-        case Falsum():
-            return "false", _F_ATOM
+            match left:
+                case Falsum():
+                    return _F_ATOM, ("true",)
+                case Box(program, Implies(body, Falsum())):
+                    return _F_UNARY, ("<", (program, 0), ">", (body, _F_UNARY))
+            return _F_UNARY, ("~", (left, _F_UNARY))
         case Implies(left, right):
-            return f"{_fparen(left, _F_UNARY)} -> {_fparen(right, _F_IMPL)}", _F_IMPL
+            return _F_IMPL, ((left, _F_UNARY), " -> ", (right, _F_IMPL))
         case Box(program, body):
-            return f"[{print_program(program)}]{_fparen(body, _F_UNARY)}", _F_UNARY
-    raise TypeError(f"not a formula: {phi!r}")
-
-
-def _pparen(node: Program, min_level: int) -> str:
-    text, level = _render_program(node)
-    return f"({text})" if level < min_level else text
-
-
-def _render_program(alpha: Program) -> tuple[str, int]:
-    match alpha:
+            return _F_UNARY, ("[", (program, 0), "]", (body, _F_UNARY))
         case Atomic(index):
-            return f"a{index}", _P_ATOM
+            return _P_ATOM, (f"a{index}",)
+        case Var(index):
+            return _F_ATOM, (f"p{index}",)
+        case Falsum():
+            return _F_ATOM, ("false",)
         case Special(kind):
-            return kind, _P_ATOM
+            return _P_ATOM, (kind,)
         case Test(formula):
-            return f"{_fparen(formula, _F_UNARY)}?", _P_POSTFIX
+            return _P_POSTFIX, ((formula, _F_UNARY), "?")
         case Star(inner):
-            return f"{_pparen(inner, _P_POSTFIX)}*", _P_POSTFIX
+            return _P_POSTFIX, ((inner, _P_POSTFIX), "*")
         case Seq(left, right):
-            return f"{_pparen(left, _P_SEQ)};{_pparen(right, _P_SEQ + 1)}", _P_SEQ
+            return _P_SEQ, ((left, _P_SEQ), ";", (right, _P_SEQ + 1))
         case Inter(left, right):
-            return f"{_pparen(left, _P_INTER)} & {_pparen(right, _P_INTER + 1)}", _P_INTER
+            return _P_INTER, ((left, _P_INTER), " & ", (right, _P_INTER + 1))
         case Choice(left, right):
-            return f"{_pparen(left, _P_CHOICE)} u {_pparen(right, _P_CHOICE + 1)}", _P_CHOICE
+            return _P_CHOICE, ((left, _P_CHOICE), " u ", (right, _P_CHOICE + 1))
         case Par(left, right):
-            return f"{_pparen(left, _P_PAR)} || {_pparen(right, _P_PAR + 1)}", _P_PAR
-    raise TypeError(f"not a program: {alpha!r}")
+            return _P_PAR, ((left, _P_PAR), " || ", (right, _P_PAR + 1))
+    raise TypeError(f"not a formula or program node: {node!r}")

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from pdlkit import decision
 from pdlkit.cli import main
 from pdlkit.semantics import KripkeModel, check, load_model, save_model
 from pdlkit.syntax import Dialect, metrics, parse_formula
@@ -187,3 +188,19 @@ def test_unknown_dialect_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["sat", "--dialect", "xpdl", "p1"])
     assert err.value.code == 2
+
+
+def test_too_deep_input_is_an_input_error(capsys):
+    code, _, err = run(capsys, "translate", "--dialect", "pdl", "~" * 5000 + "p1")
+    assert code == 2 and err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_capacity_error_is_an_input_error(capsys, monkeypatch):
+    def over_capacity(phi):
+        raise decision.CapacityError("more than 1 types needed")
+
+    monkeypatch.setattr(decision, "pdl_sat", over_capacity)
+    code, _, err = run(capsys, "sat", "--dialect", "pdl", "p1")
+    assert code == 2 and err.startswith("error: more than 1 types needed")
+    assert "Traceback" not in err

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdlkit.embedding import gadget_model
 from pdlkit.semantics import (
     EnumerationLimitError,
     KripkeModel,
@@ -21,7 +22,6 @@ from pdlkit.semantics import (
     relation_of,
     rtc_matrix,
     rtc_worklist,
-    transitive_closure,
     truth_set,
 )
 from pdlkit.syntax import (
@@ -88,9 +88,14 @@ def test_closure_small_examples():
     assert rtc_matrix([(0, 1), (1, 2)], 3) == {
         (0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2),
     }
-    assert transitive_closure([(0, 1), (1, 2)]) == {(0, 1), (1, 2), (0, 2)}
-    assert transitive_closure([(0, 0)]) == {(0, 0)}
-    assert transitive_closure([]) == frozenset()
+
+
+def test_gadget_relation_is_the_closure_of_its_edges():
+    for m in range(1, 7):
+        base = {(0, 1), (1, 1), (0, 2)} | {(j, j + 1) for j in range(2, m + 1)}
+        # only the hub lies on a cycle, so it keeps its reflexive pair
+        expected = rtc_worklist(base, m + 2) - {(s, s) for s in range(m + 2) if s != 1}
+        assert gadget_model(m, 1).relations[1] == expected
 
 
 # --- relation_of ---
@@ -276,6 +281,18 @@ def test_json_rejects_malformed_input():
         model_from_json('{"states": 2, "relations": {"a1": [[0, 5]]}}')
     with pytest.raises(ModelError):
         model_from_json('{"states": "two"}')
+    for text in (
+        '{"states": 2.9, "relations": {"a1": [[0, 1.7]]}}',
+        '{"states": 2, "relations": {"a1": [[0, 1.7]]}}',
+        '{"states": true}',
+        '{"states": "3"}',
+        '{"states": 2, "relations": {"a1": [[false, 1]]}}',
+        '{"states": 2, "valuation": {"p1": [1.0]}}',
+        '{"states": 2, "star": [[0, 1, ["1"]]]}',
+        '{"states": 2, "star": [[0.0, 1, [1]]]}',
+    ):
+        with pytest.raises(ModelError):
+            model_from_json(text)
 
 
 # --- random ASTs and models for property tests ---
@@ -287,7 +304,6 @@ def test_closure_implementations_agree(case):
     n, pairs = case
     closed = rtc_matrix(pairs, n)
     assert closed == rtc_worklist(pairs, n)
-    assert closed == transitive_closure(pairs) | {(s, s) for s in range(n)}
 
 
 @settings(max_examples=150, deadline=None)
