@@ -15,6 +15,7 @@ original valuation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from . import semantics
@@ -205,6 +206,8 @@ def _diamonds(count: int, b: int, body: Formula) -> Formula:
     return body
 
 
+# Formulas are immutable, so each (m, b) marker formula is built once and shared.
+@lru_cache(maxsize=256)
 def marker_formula_A(m: int, b: int) -> Formula:
     """True exactly at the root of the m-th gadget.
 
@@ -220,6 +223,7 @@ def marker_formula_A(m: int, b: int) -> Formula:
     return conj(exact_depth, hub)
 
 
+@lru_cache(maxsize=256)
 def marker_formula_B(m: int, b: int) -> Formula:
     """True exactly at states with a b-edge into the root of an m-th gadget."""
     return diamond(Atomic(b), marker_formula_A(m, b))

@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from operator import attrgetter
 from typing import Iterator, Union
 
@@ -367,228 +368,162 @@ _TOKEN_RE = re.compile(
     | (?P<var>p[0-9]+)
     | (?P<atom>a[0-9]+)
     | (?P<special>r1|r2|s1|s2)
-    | (?P<true>true)
-    | (?P<false>false)
-    | (?P<choice>u)
-    | (?P<op><->|->|\|\||[~&|;*?()\[\]<>])
+    | (?P<op><->|->|\|\||[~&|;*?()\[\]<>]|true|false|u)
     """,
     re.VERBOSE,
 )
+_EOF = "end of input"
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) triples, the last one (_EOF, _EOF, len(text)).
+    The kind of an operator, bracket or keyword is its text."""
     tokens = []
     pos = 0
+    match = _TOKEN_RE.match
     while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+        m = match(text, pos)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
         kind = m.lastgroup
         if kind != "ws":
-            tok_text = m.group()
-            if kind == "op":
-                kind = tok_text
-            tokens.append(_Token(kind, tok_text, pos))
+            token = m.group()
+            tokens.append((token if kind == "op" else kind, token, pos))
         pos = m.end()
-    tokens.append(_Token("eof", "", len(text)))
+    tokens.append((_EOF, _EOF, len(text)))
     return tokens
 
 
 # ---------------------------------------------------------------------------
 # Parser
 #
-# Formula precedence, loosest first:  <->  ->  |  &  unary.
-# '->' and '<->' associate to the right; '|' and '&' to the left.
-# Program precedence, loosest first:  ||  u  &  ;  postfix.
-# Tests are written <unary formula>?; a parenthesized group followed by '?'
-# is a test on the enclosed formula, otherwise it is a grouped program.
+# Operator precedence with explicit stacks (Pratt 1973; Dijkstra's
+# shunting-yard), one left-to-right pass and no backtracking. Formulas and
+# programs share the loop: the kind of an infix operator's left operand picks
+# its table below, so '&' is conjunction after a formula and intersection
+# after a program, and '(' never has to guess what it encloses.
+#
+# Formula operators, tightest first: unary (~ [prog] <prog>), &, |, ->, <->.
+# '->' and '<->' group to the right, '&' and '|' to the left.
+# Program operators, tightest first: postfix (* ?), ;, &, u, ||, all grouping
+# to the left. A test is written <unary formula>?: '?' first applies the
+# pending prefix operators, then wraps the formula. A closing ']' or '>'
+# turns the bracketed program into a prefix operator for the body after it.
+
+# token -> (binding strength, groups to the right, constructor), by the kind
+# of the left operand. A formula and a program operator never meet without a
+# bracket between them, so the strengths share one scale; the printer lays
+# out '->' and the program operators from the same entries.
+_BINARY = {
+    Formula: {
+        "<->": (1, True, iff),
+        "->": (2, True, Implies),
+        "|": (3, False, disj),
+        "&": (4, False, conj),
+    },
+    Program: {
+        "||": (1, False, Par),
+        "u": (2, False, Choice),
+        "&": (3, False, Inter),
+        ";": (4, False, Seq),
+    },
+}
+_UNARY = 5  # prefix formula and postfix program operators
+_ATOM = 6
+
+# The closing token of each opening bracket; the input as a whole is
+# bracketed by its start and the end-of-input token.
+_CLOSER = {"(": ")", "[": "]", "<": ">", "": _EOF}
+_PREFIX = {"]": Box, ">": diamond}
+_CONSTANTS = {"true": TOP, "false": FALSUM}
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.i = 0
+def _parse(text: str, goal: type) -> Union[Formula, Program]:
+    """Parse text as one node of the goal kind, Formula or Program."""
+    operands: list = []
+    # Pending operators, innermost last: (strength, build, takes, token, pos),
+    # takes being the kind of node the entry takes as its operand. A bracket
+    # has strength 0 and takes Program for '[' and '<', None (either kind) for
+    # '(' and the goal for the input as a whole.
+    ops: list = [(0, None, goal, "", 0)]
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
+    def reduce(threshold):
+        # apply the pending operators that bind tighter than threshold
+        while ops[-1][0] > threshold:
+            strength, build, takes, token, pos = ops.pop()
+            operand = operands.pop()
+            if not isinstance(operand, takes):
+                raise ParseError(f"expected a {_noun(takes)} after {token!r}", pos)
+            if strength == _UNARY:
+                operands.append(build(operand))
+            else:
+                operands[-1] = build(operands[-1], operand)
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    expect_operand = True
+    for kind, token, pos in _tokenize(text):
+        if expect_operand:
+            if kind in ("(", "[", "<"):
+                ops.append((0, None, None if kind == "(" else Program, kind, pos))
+                continue
+            if kind == "~":
+                ops.append((_UNARY, neg, Formula, kind, pos))
+                continue
+            if kind == "var" or kind == "atom":
+                index = int(token[1:])
+                if index < 1:
+                    raise ParseError(f"index must be >= 1 in {token!r}", pos)
+                operands.append(Var(index) if kind == "var" else Atomic(index))
+            elif kind in _CONSTANTS:
+                operands.append(_CONSTANTS[kind])
+            elif kind == "special":
+                operands.append(Special(token))
+            else:
+                wanted = next(entry[2] for entry in reversed(ops) if entry[2])
+                raise ParseError(f"expected a {_noun(wanted)}, found {token!r}", pos)
+            expect_operand = False
+            continue
 
-    def accept(self, kind: str) -> bool:
-        if self.peek().kind == kind:
-            self.i += 1
-            return True
-        return False
+        left = Formula if isinstance(operands[-1], Formula) else Program
+        binary = _BINARY[left].get(kind)
+        if binary:
+            strength, right, build = binary
+            reduce(strength if right else strength - 1)
+            ops.append((strength, build, left, kind, pos))
+            expect_operand = True
+        elif kind == "*" and left is Program:
+            operands[-1] = Star(operands[-1])
+        elif kind == "?" and left is Formula:
+            reduce(_UNARY - 1)
+            operands[-1] = Test(operands[-1])
+        elif kind in (")", "]", ">", _EOF):
+            reduce(0)
+            _, _, enclosed, opener, _ = ops.pop()
+            if _CLOSER[opener] != kind:
+                raise ParseError(f"expected {_CLOSER[opener]!r}, found {token!r}", pos)
+            if enclosed and not isinstance(operands[-1], enclosed):
+                raise ParseError(f"expected a {_noun(enclosed)} before {token!r}", pos)
+            if kind in _PREFIX:
+                ops.append((_UNARY, partial(_PREFIX[kind], operands.pop()), Formula, kind, pos))
+                expect_operand = True
+        else:
+            raise ParseError(f"unexpected {token!r} after a {_noun(left)}", pos)
+    return operands[0]
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            found = tok.text or "end of input"
-            raise ParseError(f"expected {what}, found {found!r}", tok.pos)
-        return self.advance()
 
-    # formulas
-
-    def formula(self) -> Formula:
-        left = self.implication()
-        if self.accept("<->"):
-            return iff(left, self.formula())
-        return left
-
-    def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.accept("->"):
-            return Implies(left, self.implication())
-        return left
-
-    def disjunction(self) -> Formula:
-        left = self.conjunction()
-        while self.accept("|"):
-            left = disj(left, self.conjunction())
-        return left
-
-    def conjunction(self) -> Formula:
-        left = self.unary()
-        while self.accept("&"):
-            left = conj(left, self.unary())
-        return left
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "~":
-            self.advance()
-            return neg(self.unary())
-        if tok.kind == "[":
-            self.advance()
-            prog = self.program()
-            self.expect("]", "']'")
-            return Box(prog, self.unary())
-        if tok.kind == "<":
-            self.advance()
-            prog = self.program()
-            self.expect(">", "'>'")
-            return diamond(prog, self.unary())
-        return self.formula_primary()
-
-    def formula_primary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "false":
-            self.advance()
-            return FALSUM
-        if tok.kind == "true":
-            self.advance()
-            return TOP
-        if tok.kind == "var":
-            self.advance()
-            index = int(tok.text[1:])
-            if index < 1:
-                raise ParseError("variable index must be >= 1", tok.pos)
-            return Var(index)
-        if tok.kind == "(":
-            self.advance()
-            inner = self.formula()
-            self.expect(")", "')'")
-            return inner
-        found = tok.text or "end of input"
-        raise ParseError(f"expected a formula, found {found!r}", tok.pos)
-
-    # programs
-
-    def program(self) -> Program:
-        left = self.par_level()
-        while self.accept("||"):
-            left = Par(left, self.par_level())
-        return left
-
-    def par_level(self) -> Program:
-        left = self.choice_level()
-        while self.accept("choice"):
-            left = Choice(left, self.choice_level())
-        return left
-
-    def choice_level(self) -> Program:
-        left = self.inter_level()
-        while self.accept("&"):
-            left = Inter(left, self.inter_level())
-        return left
-
-    def inter_level(self) -> Program:
-        left = self.postfix()
-        while self.accept(";"):
-            left = Seq(left, self.postfix())
-        return left
-
-    def postfix(self) -> Program:
-        prog = self.program_primary()
-        while self.accept("*"):
-            prog = Star(prog)
-        return prog
-
-    def program_primary(self) -> Program:
-        tok = self.peek()
-        if tok.kind == "atom":
-            self.advance()
-            index = int(tok.text[1:])
-            if index < 1:
-                raise ParseError("atomic program index must be >= 1", tok.pos)
-            return Atomic(index)
-        if tok.kind == "special":
-            self.advance()
-            return Special(tok.text)
-        if tok.kind == "(":
-            # A parenthesized group is a program unless a '?' follows the
-            # closing parenthesis, in which case the group is a test formula.
-            mark = self.i
-            self.advance()
-            try:
-                prog = self.program()
-                self.expect(")", "')'")
-                if self.peek().kind != "?":
-                    return prog
-            except ParseError:
-                pass
-            self.i = mark
-            self.advance()
-            formula = self.formula()
-            self.expect(")", "')'")
-            self.expect("?", "'?'")
-            return Test(formula)
-        if tok.kind in ("var", "true", "false", "~", "[", "<"):
-            formula = self.unary()
-            self.expect("?", "'?' after test formula")
-            return Test(formula)
-        found = tok.text or "end of input"
-        raise ParseError(f"expected a program, found {found!r}", tok.pos)
+def _noun(kind: type) -> str:
+    return kind.__name__.lower()
 
 
 def parse_formula(text: str, dialect: Dialect) -> Formula:
     """Parse a formula, expanding abbreviations; rejects constructs outside the dialect."""
-    parser = _Parser(_tokenize(text))
-    phi = parser.formula()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
+    phi = _parse(text, Formula)
     validate(phi, dialect)
     return phi
 
 
 def parse_program(text: str, dialect: Dialect) -> Program:
     """Parse a standalone program; rejects constructs outside the dialect."""
-    parser = _Parser(_tokenize(text))
-    alpha = parser.program()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
+    alpha = _parse(text, Program)
     validate(alpha, dialect)
     return alpha
 
@@ -606,8 +541,14 @@ def parse_formula_lines(text: str, dialect: Dialect) -> list[Formula]:
 # ---------------------------------------------------------------------------
 # Printer
 
-_F_IMPL, _F_UNARY, _F_ATOM = 1, 2, 3
-_P_PAR, _P_CHOICE, _P_INTER, _P_SEQ, _P_POSTFIX, _P_ATOM = 1, 2, 3, 4, 5, 6
+# Infix node types: printed operator, binding strength, groups to the right.
+# The other formula connectives are functions that expand into the core.
+_INFIX = {
+    build: (token if token == ";" else f" {token} ", strength, right)
+    for table in _BINARY.values()
+    for token, (strength, right, build) in table.items()
+    if isinstance(build, type)
+}
 
 
 def print_formula(phi: Formula) -> str:
@@ -642,37 +583,33 @@ def _print(root: Union[Formula, Program]) -> str:
 
 
 def _layout(node: Union[Formula, Program]) -> tuple[int, tuple]:
-    """A node's precedence level and its pieces: text, or (subterm, minimum level)."""
+    """A node's binding strength and its pieces: text, or (subterm, minimum strength)."""
     match node:
         case Implies(left, Falsum()):
             match left:
                 case Falsum():
-                    return _F_ATOM, ("true",)
+                    return _ATOM, ("true",)
                 case Box(program, Implies(body, Falsum())):
-                    return _F_UNARY, ("<", (program, 0), ">", (body, _F_UNARY))
-            return _F_UNARY, ("~", (left, _F_UNARY))
-        case Implies(left, right):
-            return _F_IMPL, ((left, _F_UNARY), " -> ", (right, _F_IMPL))
+                    return _UNARY, ("<", (program, 0), ">", (body, _UNARY))
+            return _UNARY, ("~", (left, _UNARY))
         case Box(program, body):
-            return _F_UNARY, ("[", (program, 0), "]", (body, _F_UNARY))
+            return _UNARY, ("[", (program, 0), "]", (body, _UNARY))
         case Atomic(index):
-            return _P_ATOM, (f"a{index}",)
+            return _ATOM, (f"a{index}",)
         case Var(index):
-            return _F_ATOM, (f"p{index}",)
+            return _ATOM, (f"p{index}",)
         case Falsum():
-            return _F_ATOM, ("false",)
+            return _ATOM, ("false",)
         case Special(kind):
-            return _P_ATOM, (kind,)
+            return _ATOM, (kind,)
         case Test(formula):
-            return _P_POSTFIX, ((formula, _F_UNARY), "?")
+            return _UNARY, ((formula, _UNARY), "?")
         case Star(inner):
-            return _P_POSTFIX, ((inner, _P_POSTFIX), "*")
-        case Seq(left, right):
-            return _P_SEQ, ((left, _P_SEQ), ";", (right, _P_SEQ + 1))
-        case Inter(left, right):
-            return _P_INTER, ((left, _P_INTER), " & ", (right, _P_INTER + 1))
-        case Choice(left, right):
-            return _P_CHOICE, ((left, _P_CHOICE), " u ", (right, _P_CHOICE + 1))
-        case Par(left, right):
-            return _P_PAR, ((left, _P_PAR), " || ", (right, _P_PAR + 1))
-    raise TypeError(f"not a formula or program node: {node!r}")
+            return _UNARY, ((inner, _UNARY), "*")
+    try:
+        operator, strength, right = _INFIX[type(node)]
+    except KeyError:
+        raise TypeError(f"not a formula or program node: {node!r}") from None
+    # the operand on the side the operator does not group to needs a tighter one
+    left_min, right_min = (strength + 1, strength) if right else (strength, strength + 1)
+    return strength, ((node.left, left_min), operator, (node.right, right_min))

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from pdlkit import decision
+from pdlkit import decision, embedding
 from pdlkit.cli import main
 from pdlkit.semantics import KripkeModel, check, load_model, save_model
 from pdlkit.syntax import Dialect, metrics, parse_formula
@@ -190,9 +190,20 @@ def test_unknown_dialect_is_usage_error(capsys):
     assert err.value.code == 2
 
 
-def test_too_deep_input_is_an_input_error(capsys):
-    code, _, err = run(capsys, "translate", "--dialect", "pdl", "~" * 5000 + "p1")
-    assert code == 2 and err.startswith("error:")
+def test_deep_input_translates(capsys):
+    code, out, err = run(capsys, "translate", "--dialect", "pdl", "~" * 5000 + "p1")
+    assert (code, err) == (0, "")
+    grounded = parse_formula(out.splitlines()[0], Dialect.PDL)
+    assert metrics(grounded).variables == frozenset()
+
+
+def test_too_deep_input_is_an_input_error(capsys, monkeypatch):
+    def too_deep(phi, dialect):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(embedding, "translate", too_deep)
+    code, _, err = run(capsys, "translate", "--dialect", "pdl", "p1")
+    assert code == 2 and err.startswith("error: input nested too deeply")
     assert "Traceback" not in err
 
 

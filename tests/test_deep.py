@@ -1,13 +1,16 @@
-"""Structural walks on formulas 10,000 deep, at the default recursion limit.
+"""Parsing and structural walks on formulas 10,000 deep, at the default
+recursion limit.
 
-The formulas are built with constructors: the parser is still recursive.
-Equality and hashing of such formulas also recurse, so nothing here
-compares two deep formulas with == or puts one in a set.
+Equality and hashing of formula nodes still recurse, so nothing here
+compares two deep formulas with == or puts one in a set: parsed text is
+checked against a formula built with constructors through print_formula
+and metrics.
 """
 
 from __future__ import annotations
 
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -29,8 +32,12 @@ from pdlkit.syntax import (
     Var,
     diamond,
     metrics,
+    neg,
     normalize_variables,
+    parse_formula,
+    parse_program,
     print_formula,
+    print_program,
     substitute,
 )
 
@@ -147,3 +154,59 @@ def test_deep_nested_chains():
     chains = nested_chains(phi)
     assert len(chains) == 1 and len(chains[0]) == DEPTH
     assert all(a is b for a, b in zip(chains[0], reversed(programs)))
+
+
+def printed(build):
+    """The printer's text for a constructor-built chain, with that formula."""
+
+    def case(depth):
+        phi = build(depth)[0]
+        return print_formula(phi), phi
+
+    return case
+
+
+def negations(depth):
+    phi = Var(1)
+    for _ in range(depth):
+        phi = neg(phi)
+    return "~(" * depth + "p1" + ")" * depth, phi
+
+
+def grouped_program(depth):
+    return "[" + "(" * depth + "a1" + ")" * depth + "]p1", Box(Atomic(1), Var(1))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [printed(box_chain), negations, printed(diamond_implication_chain), grouped_program],
+    ids=["box_chain", "negations", "diamond_implication_chain", "grouped_program"],
+)
+def test_parse_deep_text(build):
+    text, phi = build(DEPTH)
+    parsed = parse_formula(text, Dialect.PDL)
+    assert print_formula(parsed) == print_formula(phi)
+    assert metrics(parsed) == metrics(phi)
+
+
+def test_parse_long_composition():
+    text = ";".join(f"a{i}" for i in range(1, DEPTH + 1))
+    alpha = parse_program(text, Dialect.PDL)
+    # composition groups to the left, which the printer writes without parentheses
+    assert print_program(alpha) == text
+    m = metrics(Box(alpha, Var(1)))
+    assert (m.size, m.atoms) == (2 * DEPTH + 1, frozenset(range(1, DEPTH + 1)))
+
+
+def test_nested_tests_parse_in_linear_time():
+    # [(<(<...(<a1>p1)?...>p1)?>p1)?]p2, 20 tests deep: every group is a test
+    text = "<a1>p1"
+    for _ in range(19):
+        text = f"<({text})?>p1"
+    text = f"[({text})?]p2"
+    start = time.perf_counter()
+    phi = parse_formula(text, Dialect.IPDL)
+    back = parse_formula(print_formula(phi), Dialect.IPDL)
+    elapsed = time.perf_counter() - start
+    assert back == phi
+    assert elapsed < 1.0

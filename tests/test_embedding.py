@@ -190,6 +190,18 @@ def test_marker_formula_sizes():
     assert metrics(marker_formula_B(3, 2)).atoms == {2}
 
 
+def test_marker_formulas_are_built_once():
+    assert marker_formula_A(3, 2) is marker_formula_A(3, 2)
+    assert marker_formula_B(3, 2) is marker_formula_B(3, 2)
+    ctx = build_context(Var(1), PDL)
+    assert ground(Var(2), ctx) is ground(Var(2), ctx) is marker_formula_B(2, 1)
+    for _ in range(2):  # a rejected index is rejected again, not cached
+        with pytest.raises(EmbeddingError):
+            marker_formula_A(0, 1)
+        with pytest.raises(EmbeddingError):
+            marker_formula_B(0, 1)
+
+
 # --- grounding and the pipeline ---
 
 

@@ -258,3 +258,21 @@ def test_validate_matches_constructor_sets(pair):
     if dialect is PRSPDL:
         m = metrics(phi)
         assert m.size >= 1
+
+
+# every token the lexer knows, with one out-of-range index
+_TOKENS = (
+    "p1 p2 p0 a1 a2 r1 r2 s1 s2 true false u ~ & | -> <-> ; * ? ( ) [ ] < > ||".split()
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_TOKENS), max_size=30).map(" ".join))
+def test_parse_fails_only_with_parse_errors(text):
+    for dialect in (PDL, IPDL, PRSPDL):
+        for parse, show in ((parse_formula, print_formula), (parse_program, print_program)):
+            try:
+                node = parse(text, dialect)
+            except (ParseError, DialectError):
+                continue
+            assert parse(show(node), dialect) == node
