@@ -81,12 +81,14 @@ def bounded_sat(
     Returns the first witness in enumeration order, or UnknownAtBound;
     never Unsatisfiable, since capped enumeration proves nothing negative.
     Variables listed in universal_vars are forced true at every state
-    instead of being enumerated.
+    instead of being enumerated. The formula's evaluation plan is built
+    once and run on every model.
     """
     if max_states < 1:
         raise ValueError("max_states must be >= 1")
     validate(phi, dialect)
     m = metrics(phi)
+    plan = semantics._plan(phi)
     forced = frozenset(universal_vars)
     search_vars = sorted(set(m.variables) - forced)
     for size in range(1, max_states + 1):
@@ -105,9 +107,10 @@ def bounded_sat(
                 for v in forced:
                     valuation[v] = all_states
                 model = KripkeModel(size, model.relations, valuation, model.star)
-            holds = semantics._evaluate(model, phi)
+            holds = semantics._run(plan, model)
             if holds:
-                return SatResult(Verdict.SATISFIABLE, Witness(model, min(holds)), size)
+                lowest = (holds & -holds).bit_length() - 1
+                return SatResult(Verdict.SATISFIABLE, Witness(model, lowest), size)
     return SatResult(Verdict.UNKNOWN_AT_BOUND, None, max_states)
 
 

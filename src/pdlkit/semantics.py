@@ -13,8 +13,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional
 
-import numpy as np
-
 from .syntax import (
     Atomic,
     Box,
@@ -129,6 +127,8 @@ class KripkeModel:
 
 def rtc_matrix(pairs: Iterable[Pair], num_states: int) -> Relation:
     """Reflexive-transitive closure by repeated squaring of the adjacency matrix."""
+    import numpy as np  # only here, so that importing pdlkit does not load numpy
+
     m = np.zeros((num_states, num_states), dtype=bool)
     for s, t in pairs:
         m[s, t] = True
@@ -157,48 +157,39 @@ def rtc_worklist(pairs: Iterable[Pair], num_states: int) -> Relation:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation: relations and satisfaction by simultaneous induction
+# Evaluation: bottom-up labelling over a plan
+#
+# A plan lists a formula's or program's distinct subterms in post-order, each
+# with the plan slots of its children, so every subterm is evaluated once and
+# after its children (Clarke, Emerson & Sistla, TOPLAS 1986). A truth set is
+# an int whose bit s is set when state s satisfies the formula; a relation is
+# a list of successor masks, one per source state.
 
-def _evaluate(model: KripkeModel, root: Formula | Program):
-    """Truth set of a formula or relation of a program, in one fold over it;
-    each shared subterm is evaluated once."""
-    states = model.states
+def _plan(root: Formula | Program) -> list[tuple[object, list[int]]]:
+    plan: list[tuple[object, list[int]]] = []
 
-    def visit(node, results):
-        match node:
-            case Var(index):
-                return model.valuation.get(index, frozenset())
-            case Falsum():
-                return frozenset()
-            case Implies():
-                holds_left, holds_right = results
-                return frozenset(s for s in states if s not in holds_left or s in holds_right)
-            case Box():
-                rel, holds_body = results
-                failing = {s for s, t in rel if t not in holds_body}
-                return frozenset(s for s in states if s not in failing)
-            case Atomic(index):
-                return model.relations.get(index, frozenset())
-            case Special(kind):
-                return _special(model, kind)
-            case Test():
-                return frozenset((s, s) for s in results[0])
-            case Seq():
-                left_rel, right_rel = results
-                by_source: dict[int, list[int]] = {}
-                for u, v in right_rel:
-                    by_source.setdefault(u, []).append(v)
-                return frozenset((s, v) for s, u in left_rel for v in by_source.get(u, ()))
-            case Choice():
-                return results[0] | results[1]
-            case Inter():
-                return results[0] & results[1]
-            case Par():
-                return _par(model, *results)
-            case Star():
-                return rtc_matrix(results[0], model.num_states)
+    def visit(node, slots):
+        plan.append((node, slots))
+        return len(plan) - 1
 
-    return fold(root, visit)
+    fold(root, visit)
+    return plan
+
+
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of mask, in increasing order."""
+    # the binary digits, lowest first, as bytes 0/1 select from 0, 1, 2, ...
+    return itertools.compress(itertools.count(), bin(mask)[:1:-1].encode().translate(_DIGITS))
+
+
+def _mask(states: Iterable[int]) -> int:
+    mask = 0
+    for s in states:
+        mask |= 1 << s
+    return mask
 
 
 def _star_entries(model: KripkeModel):
@@ -209,43 +200,119 @@ def _star_entries(model: KripkeModel):
     return model.star.items()
 
 
-def _special(model: KripkeModel, kind: str) -> Relation:
+def _special(model: KripkeModel, kind: str) -> list[int]:
     # s is composed from x and y (s in x*y): r1/r2 lead from s to x/y,
     # s1/s2 from x/y to s
-    pairs = set()
+    rows = [0] * model.num_states
     for (x, y), result in _star_entries(model):
         part = x if kind[1] == "1" else y
-        pairs.update((s, part) if kind[0] == "r" else (part, s) for s in result)
-    return frozenset(pairs)
+        if kind[0] == "r":
+            for s in result:
+                rows[s] |= 1 << part
+        else:
+            rows[part] |= _mask(result)
+    return rows
 
 
-def _par(model: KripkeModel, left_rel: Relation, right_rel: Relation) -> Relation:
-    entries = tuple(_star_entries(model))
-    pairs = set()
+def _par(model: KripkeModel, left: list[int], right: list[int]) -> list[int]:
+    # s -> t when s in x1*x2, t in y1*y2, x1 -> y1 by left and x2 -> y2 by
+    # right; targets are looked up by (y1, y2) instead of scanning every entry
+    entries = [(x, _mask(result)) for x, result in _star_entries(model)]
+    targets = dict(entries)
+    rows = [0] * model.num_states
     for (x1, x2), sources in entries:
-        for (y1, y2), targets in entries:
-            if (x1, y1) in left_rel and (x2, y2) in right_rel:
-                pairs.update(itertools.product(sources, targets))
-    return frozenset(pairs)
+        reached = 0
+        seconds = list(_bits(right[x2]))
+        for y1 in _bits(left[x1]):
+            for y2 in seconds:
+                reached |= targets.get((y1, y2), 0)
+        if reached:
+            for s in _bits(sources):
+                rows[s] |= reached
+    return rows
+
+
+def _star(rows: list[int]) -> list[int]:
+    """Reflexive-transitive closure of successor masks (Warshall)."""
+    rows = [row | 1 << s for s, row in enumerate(rows)]
+    # rows is updated in place, so `through` is row k after rounds 0..k-1
+    for k, through in enumerate(rows):
+        bit = 1 << k
+        if through == bit:  # k reaches only itself
+            continue
+        for i, row in enumerate(rows):
+            if row & bit:
+                rows[i] = row | through
+    return rows
+
+
+def _run(plan: list[tuple[object, list[int]]], model: KripkeModel) -> int | list[int]:
+    """Value of the plan's last entry: a truth mask or successor masks."""
+    n = model.num_states
+    full = (1 << n) - 1
+    values: list = []
+    for node, slots in plan:
+        kind = type(node)
+        if kind is Var:
+            value = _mask(model.valuation.get(node.index, ()))
+        elif kind is Falsum:
+            value = 0
+        elif kind is Implies:
+            value = (full ^ values[slots[0]]) | values[slots[1]]
+        elif kind is Box:
+            rows, failing = values[slots[0]], full ^ values[slots[1]]
+            value = 0
+            for s, row in enumerate(rows):
+                if not row & failing:
+                    value |= 1 << s
+        elif kind is Atomic:
+            value = [0] * n
+            for s, t in model.relations.get(node.index, ()):
+                value[s] |= 1 << t
+        elif kind is Special:
+            value = _special(model, node.kind)
+        elif kind is Test:
+            holds = values[slots[0]]
+            value = [holds & 1 << s for s in range(n)]
+        elif kind is Seq:
+            right = values[slots[1]]
+            value = []
+            for row in values[slots[0]]:
+                reached = 0
+                for t in _bits(row):
+                    reached |= right[t]
+                value.append(reached)
+        elif kind is Choice:
+            value = [a | b for a, b in zip(values[slots[0]], values[slots[1]])]
+        elif kind is Inter:
+            value = [a & b for a, b in zip(values[slots[0]], values[slots[1]])]
+        elif kind is Par:
+            value = _par(model, values[slots[0]], values[slots[1]])
+        else:  # Star
+            value = _star(values[slots[0]])
+        values.append(value)
+    return values[-1]
 
 
 def relation_of(model: KripkeModel, alpha: Program, dialect: Dialect) -> Relation:
     """Accessibility relation of a compound program term."""
     validate(alpha, dialect)
-    return _evaluate(model, alpha)
+    rows = _run(_plan(alpha), model)
+    return frozenset((s, t) for s, row in enumerate(rows) for t in _bits(row))
 
 
 def truth_set(model: KripkeModel, phi: Formula, dialect: Dialect) -> frozenset[int]:
-    """All states satisfying phi, with subterm results cached across the formula."""
+    """All states satisfying phi; each distinct subterm is evaluated once."""
     validate(phi, dialect)
-    return _evaluate(model, phi)
+    return frozenset(_bits(_run(_plan(phi), model)))
 
 
 def check(model: KripkeModel, state: int, phi: Formula, dialect: Dialect) -> bool:
     """Truth of phi at one state."""
     if state not in model.states:
         raise ModelError(f"state {state} not in model with {model.num_states} states")
-    return state in truth_set(model, phi, dialect)
+    validate(phi, dialect)
+    return bool(_run(_plan(phi), model) >> state & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +430,11 @@ def model_to_json(model: KripkeModel) -> str:
     return json.dumps(obj, indent=2)
 
 
+# The evaluator allocates per-state lists and masks of num_states bits, so a
+# model file's state count is bounded before anything is built from it.
+_MAX_JSON_STATES = 10_000
+
+
 def model_from_json(text: str) -> KripkeModel:
     """Parse the JSON model format."""
     try:
@@ -383,6 +455,11 @@ def model_from_json(text: str) -> KripkeModel:
         return value
 
     try:
+        num_states = integer(obj["states"])
+        if num_states > _MAX_JSON_STATES:
+            raise ModelError(
+                f"a model file may have at most {_MAX_JSON_STATES} states, got {num_states}"
+            )
         relations = {
             parse_index(name, "a"): {(integer(s), integer(t)) for s, t in pairs}
             for name, pairs in obj.get("relations", {}).items()
@@ -394,7 +471,7 @@ def model_from_json(text: str) -> KripkeModel:
         star = None
         if "star" in obj:
             star = {(integer(x), integer(y)): {integer(z) for z in zs} for x, y, zs in obj["star"]}
-        return KripkeModel(integer(obj["states"]), relations, valuation, star)
+        return KripkeModel(num_states, relations, valuation, star)
     except (TypeError, ValueError, KeyError) as err:
         if isinstance(err, ModelError):
             raise

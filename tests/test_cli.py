@@ -92,6 +92,15 @@ def test_check_error_paths(tmp_path, capsys):
         "--state", "0", "p1",
     )
     assert code == 2 and "malformed" in err
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"states": 1000000000}')
+    code, out, err = run(
+        capsys, "check", "--dialect", "pdl", "--model", str(huge),
+        "--state", "0", "p1",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "at most 10000 states" in err
+    assert "Traceback" not in err
 
 
 def test_sat_complete_default_for_pdl(capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -15,8 +16,8 @@ from pdlkit.decision import (
     fl_closure,
     pdl_sat,
 )
-from pdlkit.fuzzing import random_formula
-from pdlkit.semantics import check
+from pdlkit.fuzzing import formula_corpus, random_formula
+from pdlkit.semantics import KripkeModel, check, enumerate_models
 from pdlkit.syntax import (
     FALSUM,
     TOP,
@@ -35,6 +36,7 @@ from pdlkit.syntax import (
     parse_formula,
 )
 
+import _reference
 from _strategies import formulas
 
 PDL, IPDL, PRSPDL = Dialect.PDL, Dialect.IPDL, Dialect.PRSPDL
@@ -86,6 +88,55 @@ def test_bounded_sat_respects_cap_and_bounds():
     assert result.verdict is Verdict.UNKNOWN_AT_BOUND  # only the empty model per size
     with pytest.raises(ValueError):
         bounded_sat(TOP, PDL, 0)
+
+
+def _reference_scan(phi, dialect, max_states, cap, universal_vars=()):
+    """bounded_sat's search written out with the reference evaluator:
+    (verdict, bound_used, witness model, witness state) of the first hit."""
+    m = metrics(phi)
+    forced = frozenset(universal_vars)
+    for size in range(1, max_states + 1):
+        support = list(itertools.product(range(size), repeat=2)) if dialect is PRSPDL else ()
+        stream = enumerate_models(
+            size, m.atoms, sorted(m.variables - forced), dialect, star_support=support
+        )
+        for model in itertools.islice(stream, cap):
+            if forced:
+                valuation = dict(model.valuation)
+                valuation.update((v, model.states) for v in forced)
+                model = KripkeModel(size, model.relations, valuation, model.star)
+            holds = _reference._evaluate(model, phi)
+            if holds:
+                return Verdict.SATISFIABLE, size, model, min(holds)
+    return Verdict.UNKNOWN_AT_BOUND, max_states, None, None
+
+
+# first hits at two states: true at state 1 only, or at both states
+_TWO_STATE = {
+    PDL: ["p2 & <a1>~p2", "[a1*]((p2 -> <a1>~p2) & (~p2 -> <a1>p2))"],
+    IPDL: ["p2 & <a1>~p2", "[a1*]((p2 -> <a1>~p2) & (~p2 -> <a1>p2))"],
+    PRSPDL: ["~<r1>true & <s1>true", "<r1>(<s1>~<s1>true & <s1><s1>true)"],
+}
+
+
+@pytest.mark.parametrize("dialect", [PDL, IPDL, PRSPDL])
+@pytest.mark.parametrize("universal_vars", [(), (1,)])
+def test_bounded_sat_matches_reference_scan(dialect, universal_vars):
+    corpus = formula_corpus(17, 25, dialect, 7, 2, 2)
+    corpus += [parse_formula(text, dialect) for text in _TWO_STATE[dialect]]
+    seen = set()
+    for phi in corpus:
+        result = bounded_sat(phi, dialect, 2, per_size_model_cap=150,
+                             universal_vars=universal_vars)
+        witness = result.witness or (None, None)
+        got = (result.verdict, result.bound_used, *witness)
+        assert got == _reference_scan(phi, dialect, 2, 150, universal_vars)
+        holds = _reference._evaluate(witness[0], phi) if witness[0] else frozenset()
+        seen.add((result.verdict, result.bound_used, tuple(sorted(holds))))
+    assert (Verdict.SATISFIABLE, 1, (0,)) in seen
+    assert (Verdict.UNKNOWN_AT_BOUND, 2, ()) in seen
+    assert (Verdict.SATISFIABLE, 2, (1,)) in seen
+    assert (Verdict.SATISFIABLE, 2, (0, 1)) in seen
 
 
 # --- closure ---

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pdlkit
 from pdlkit.embedding import gadget_model
 from pdlkit.semantics import (
     EnumerationLimitError,
@@ -42,11 +47,14 @@ from pdlkit.syntax import (
     conj,
     diamond,
     disj,
+    iter_nodes,
     neg,
+    parse_program,
     substitute,
 )
 
-from _strategies import pair_sets, scenario
+import _reference
+from _strategies import formulas, models, pair_sets, programs, scenario
 
 PDL, IPDL, PRSPDL = Dialect.PDL, Dialect.IPDL, Dialect.PRSPDL
 
@@ -290,9 +298,12 @@ def test_json_rejects_malformed_input():
         '{"states": 2, "valuation": {"p1": [1.0]}}',
         '{"states": 2, "star": [[0, 1, ["1"]]]}',
         '{"states": 2, "star": [[0.0, 1, [1]]]}',
+        '{"states": 10001}',
+        '{"states": 1000000000, "relations": {"a1": [[0, 999999999]]}}',
     ):
         with pytest.raises(ModelError):
             model_from_json(text)
+    assert model_from_json('{"states": 10000}').num_states == 10000
 
 
 # --- random ASTs and models for property tests ---
@@ -355,3 +366,67 @@ def test_truth_set_agrees_with_check(case):
         assert (s in holds) == check(model, s, phi, dialect)
     assert truth_set(model, conj(phi, TOP), dialect) == holds
     assert truth_set(model, disj(phi, FALSUM), dialect) == holds
+
+
+# --- the bitset evaluator against the frozenset reference ---
+
+
+def _outcome(evaluate):
+    try:
+        return evaluate()
+    except MissingStarError:
+        return MissingStarError
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario(num_programs=1, max_states=5))
+def test_evaluator_matches_reference(case):
+    dialect, model, alpha, phi = case
+    assert relation_of(model, alpha, dialect) == _reference._evaluate(model, alpha)
+    holds = truth_set(model, phi, dialect)
+    assert holds == _reference._evaluate(model, phi)
+    assert [check(model, s, phi, dialect) for s in model.states] == [
+        s in holds for s in model.states
+    ]
+    if dialect is PRSPDL:
+        starless = KripkeModel(model.num_states, model.relations, model.valuation)
+        for term, fast in ((alpha, relation_of), (phi, truth_set)):
+            got = _outcome(lambda: fast(starless, term, dialect))
+            assert got == _outcome(lambda: _reference._evaluate(starless, term))
+            if any(isinstance(node, (Special, Par)) for node in iter_nodes(term)):
+                assert got is MissingStarError
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(lambda n: models(n, with_star=True)),
+    programs(PRSPDL, formulas(PRSPDL)),
+    programs(PRSPDL, formulas(PRSPDL)),
+)
+def test_par_index_matches_reference(model, alpha, beta):
+    for program in (Par(alpha, beta), Par(beta, alpha), Par(Star(alpha), beta)):
+        assert relation_of(model, program, PRSPDL) == _reference._evaluate(model, program)
+
+
+@pytest.mark.parametrize("text", ["(s2*) || r1", "(a1*) || (a2*)", "(r1;a1)* || s2"])
+def test_par_with_starred_operand_matches_reference(text):
+    # the benchmark leaves these out as heavy-tailed; the || index must
+    # still agree with the scan over every pair of star entries
+    model = random_model(30, {1, 2}, {1, 2}, 0.07, seed=5, star_probability=0.1)
+    alpha = parse_program(text, PRSPDL)
+    expected = _reference._evaluate(model, alpha)
+    assert expected
+    assert relation_of(model, alpha, PRSPDL) == expected
+    assert truth_set(model, Box(alpha, Var(1)), PRSPDL) == _reference._evaluate(
+        model, Box(alpha, Var(1))
+    )
+
+
+def test_import_does_not_load_numpy():
+    src = Path(pdlkit.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, pdlkit; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
