@@ -199,6 +199,8 @@ def cmd_sat(args) -> int:
 
 
 def cmd_equisat_fuzz(args) -> int:
+    if args.count < 0:
+        raise ValueError("--count must be >= 0")
     mode = args.mode or ("complete" if args.dialect is Dialect.PDL else "witness")
     if mode == "complete":
         if args.dialect is not Dialect.PDL:

@@ -1,8 +1,9 @@
 """Satisfiability back-ends.
 
 bounded_sat is a brute-force oracle for all three dialects: it streams
-small models in a fixed order and model-checks the formula. It can only
-answer Satisfiable or UnknownAtBound; caps make it incomplete by design.
+small models in a fixed order, as the int masks the model checker works
+on, and evaluates the formula on each. It can only answer Satisfiable or
+UnknownAtBound; caps make it incomplete by design.
 
 pdl_sat decides regular PDL (no tests) by type elimination over the
 Fischer-Ladner closure. Types are built as saturated signed sets, but
@@ -82,44 +83,46 @@ def bounded_sat(
     never Unsatisfiable, since capped enumeration proves nothing negative.
     Variables listed in universal_vars are forced true at every state
     instead of being enumerated. The formula's evaluation plan is built
-    once and run on every model.
+    once and run on the int masks of each enumerated model; a KripkeModel
+    is built only for the witness.
     """
     if max_states < 1:
         raise ValueError("max_states must be >= 1")
+    if per_size_model_cap < 1:
+        raise ValueError("per_size_model_cap must be >= 1")
     validate(phi, dialect)
     m = metrics(phi)
     plan = semantics._plan(phi)
     forced = frozenset(universal_vars)
     search_vars = sorted(set(m.variables) - forced)
     for size in range(1, max_states + 1):
-        all_states = frozenset(range(size))
-        support = (
-            [(x, y) for x in range(size) for y in range(size)]
-            if dialect is Dialect.PRSPDL
-            else ()
+        support = itertools.product(range(size), repeat=2) if dialect is Dialect.PRSPDL else ()
+        stream = semantics._enumerate_masks(
+            size, m.atoms, search_vars, dialect, support, forced
         )
-        stream = semantics.enumerate_models(
-            size, m.atoms, search_vars, dialect, star_support=support
-        )
-        for model in itertools.islice(stream, per_size_model_cap):
-            if forced:
-                valuation = dict(model.valuation)
-                for v in forced:
-                    valuation[v] = all_states
-                model = KripkeModel(size, model.relations, valuation, model.star)
-            holds = semantics._run(plan, model)
+        for masks in itertools.islice(stream, per_size_model_cap):
+            holds = semantics._run(plan, masks)
             if holds:
                 lowest = (holds & -holds).bit_length() - 1
-                return SatResult(Verdict.SATISFIABLE, Witness(model, lowest), size)
+                return SatResult(
+                    Verdict.SATISFIABLE, Witness(semantics._model(masks), lowest), size
+                )
     return SatResult(Verdict.UNKNOWN_AT_BOUND, None, max_states)
 
 
 # ---------------------------------------------------------------------------
 # Fischer-Ladner closure
 
-def _closure_list(phi: Formula) -> list[Formula]:
-    """Closure members in first-reached order; phi comes first."""
+# Saturation rule per closure formula, indexed over the closure list.
+# ("var", index) | ("bot",) | ("imp", left, right) | ("boxa", atom, body)
+# | ("boxs", unfolded) | ("boxc", left_unfold, right_unfold)
+# | ("boxstar", body, step)
+
+def _closure_list(phi: Formula) -> tuple[list[Formula], list[tuple]]:
+    """Closure members in first-reached order, phi first, and the rule of
+    each, whose closure members are given by their index in that order."""
     order: list[Formula] = []
+    rules: list[tuple] = []
     seen: set[Formula] = set()
     stack = [phi]
     while stack:
@@ -129,26 +132,30 @@ def _closure_list(phi: Formula) -> list[Formula]:
         seen.add(f)
         order.append(f)
         match f:
-            case Var() | Falsum():
-                pass
+            case Var(index):
+                rule, pushed = ("var", index), ()
+            case Falsum():
+                rule, pushed = ("bot",), ()
             case Implies(left, right):
-                stack.append(right)
-                stack.append(left)
-            case Box(Atomic(), body):
-                stack.append(body)
+                rule, pushed = ("imp", left, right), (right, left)
+            case Box(Atomic(atom), body):
+                rule, pushed = ("boxa", atom, body), (body,)
             case Box(Seq(first, second), body):
-                stack.append(body)
-                stack.append(Box(first, Box(second, body)))
+                rule = ("boxs", Box(first, Box(second, body)))
+                pushed = (body, rule[1])
             case Box(Choice(first, second), body):
-                stack.append(body)
-                stack.append(Box(second, body))
-                stack.append(Box(first, body))
+                rule = ("boxc", Box(first, body), Box(second, body))
+                pushed = (body, rule[2], rule[1])
             case Box(Star(inner), body):
-                stack.append(body)
-                stack.append(Box(inner, f))
+                rule = ("boxstar", body, Box(inner, f))
+                pushed = (body, rule[2])
             case _:
                 raise TypeError(f"not a regular-PDL formula: {f!r}")
-    return order
+        rules.append(rule)
+        stack.extend(pushed)
+    idx = {f: i for i, f in enumerate(order)}
+    # the kind, a variable or an atom index stay; a formula becomes its index
+    return order, [tuple(idx.get(part, part) for part in rule) for rule in rules]
 
 
 def fl_closure(phi: Formula) -> frozenset[Formula]:
@@ -160,35 +167,7 @@ def fl_closure(phi: Formula) -> frozenset[Formula]:
     and its negation.
     """
     validate(phi, Dialect.PDL)
-    return frozenset(_closure_list(phi))
-
-
-# Saturation rule per closure formula, indexed over the closure list.
-# ("var",) | ("bot",) | ("imp", left, right) | ("boxa", atom, body)
-# | ("boxs", unfolded) | ("boxc", left_unfold, right_unfold)
-# | ("boxstar", body, step)
-
-def _rule_table(closure: list[Formula], idx: dict[Formula, int]) -> list[tuple]:
-    rules: list[tuple] = []
-    for f in closure:
-        match f:
-            case Var(index):
-                rules.append(("var", index))
-            case Falsum():
-                rules.append(("bot",))
-            case Implies(left, right):
-                rules.append(("imp", idx[left], idx[right]))
-            case Box(Atomic(atom), body):
-                rules.append(("boxa", atom, idx[body]))
-            case Box(Seq(first, second), body):
-                rules.append(("boxs", idx[Box(first, Box(second, body))]))
-            case Box(Choice(first, second), body):
-                rules.append(("boxc", idx[Box(first, body)], idx[Box(second, body)]))
-            case Box(Star(inner), body):
-                rules.append(("boxstar", idx[body], idx[Box(inner, f)]))
-            case _:
-                raise TypeError(f"not a regular-PDL formula: {f!r}")
-    return rules
+    return frozenset(_closure_list(phi)[0])
 
 
 _BOX_KINDS = ("boxa", "boxs", "boxc", "boxstar")
@@ -308,9 +287,7 @@ def _fulfilled_pairs(
 def pdl_sat(phi: Formula, max_nodes: int = 100000) -> SatResult:
     """Complete satisfiability for regular PDL; see the module docstring."""
     validate(phi, Dialect.PDL)
-    closure = _closure_list(phi)
-    idx = {f: i for i, f in enumerate(closure)}
-    rules = _rule_table(closure, idx)
+    rules = _closure_list(phi)[1]
 
     nodes: list[frozenset[int]] = []
     node_ids: dict[frozenset[int], int] = {}
@@ -334,7 +311,7 @@ def pdl_sat(phi: Formula, max_nodes: int = 100000) -> SatResult:
             seed_cache[key] = cached
         return cached
 
-    root_ids = [intern(node) for node in saturations([2 * idx[phi]])]
+    root_ids = [intern(node) for node in saturations([0])]  # phi is member 0
     edges: dict[tuple[int, int], tuple[int, ...]] = {}
     cursor = 0
     while cursor < len(nodes):

@@ -11,7 +11,7 @@ import itertools
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .syntax import (
     Atomic,
@@ -67,37 +67,34 @@ class KripkeModel:
         if self.num_states < 1:
             raise ModelError("a model needs at least one state")
         rng = range(self.num_states)
+
+        def in_range(values: Iterable, where: str) -> frozenset[int]:
+            values = frozenset(int(s) for s in values)
+            for s in values:
+                if s not in rng:
+                    raise ModelError(f"{where} references missing state {s}")
+            return values
+
         relations = {}
         for atom, pairs in self.relations.items():
             if atom < 1:
                 raise ModelError(f"atom index must be >= 1, got {atom}")
             pairs = frozenset((int(s), int(t)) for s, t in pairs)
-            for s, t in pairs:
-                if s not in rng or t not in rng:
-                    raise ModelError(f"edge ({s},{t}) references a missing state")
+            in_range(itertools.chain.from_iterable(pairs), f"relation a{atom}")
             if pairs:
                 relations[atom] = pairs
         valuation = {}
-        for var, states in self.valuation.items():
+        for var, members in self.valuation.items():
             if var < 1:
                 raise ModelError(f"variable index must be >= 1, got {var}")
-            states = frozenset(int(s) for s in states)
-            for s in states:
-                if s not in rng:
-                    raise ModelError(f"valuation of p{var} references missing state {s}")
-            if states:
-                valuation[var] = states
+            if members := in_range(members, f"valuation of p{var}"):
+                valuation[var] = members
         star = None
         if self.star is not None:
             star = {}
             for (x, y), result in self.star.items():
-                if x not in rng or y not in rng:
-                    raise ModelError(f"star entry ({x},{y}) references a missing state")
-                result = frozenset(int(z) for z in result)
-                for z in result:
-                    if z not in rng:
-                        raise ModelError(f"star({x},{y}) contains missing state {z}")
-                if result:
+                in_range((x, y), f"star entry ({x},{y})")
+                if result := in_range(result, f"star({x},{y})"):
                     star[(int(x), int(y))] = result
         object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "valuation", valuation)
@@ -106,16 +103,6 @@ class KripkeModel:
     @property
     def states(self) -> range:
         return range(self.num_states)
-
-    def __eq__(self, other):
-        if not isinstance(other, KripkeModel):
-            return NotImplemented
-        return (
-            self.num_states == other.num_states
-            and self.relations == other.relations
-            and self.valuation == other.valuation
-            and self.star == other.star
-        )
 
     def __hash__(self):
         return hash((self.num_states, frozenset(self.relations.items()),
@@ -126,20 +113,18 @@ class KripkeModel:
 # Closures
 
 def rtc_matrix(pairs: Iterable[Pair], num_states: int) -> Relation:
-    """Reflexive-transitive closure by repeated squaring of the adjacency matrix."""
-    import numpy as np  # only here, so that importing pdlkit does not load numpy
-
-    m = np.zeros((num_states, num_states), dtype=bool)
+    """Reflexive-transitive closure by repeated squaring of the adjacency matrix,
+    held as one int mask per row: row i of the square is the OR of the rows
+    at the bits of row i."""
+    rows = [1 << s for s in range(num_states)]
     for s, t in pairs:
-        m[s, t] = True
-    m |= np.eye(num_states, dtype=bool)
+        rows[s] |= 1 << t
     while True:
-        squared = np.matmul(m, m)
-        if np.array_equal(squared, m):
+        squared = [_image(rows, row) for row in rows]
+        if squared == rows:
             break
-        m = squared
-    xs, ts = np.nonzero(m)
-    return frozenset(zip(xs.tolist(), ts.tolist()))
+        rows = squared
+    return frozenset((s, t) for s, row in enumerate(rows) for t in _bits(row))
 
 
 def rtc_worklist(pairs: Iterable[Pair], num_states: int) -> Relation:
@@ -164,6 +149,17 @@ def rtc_worklist(pairs: Iterable[Pair], num_states: int) -> Relation:
 # after its children (Clarke, Emerson & Sistla, TOPLAS 1986). A truth set is
 # an int whose bit s is set when state s satisfies the formula; a relation is
 # a list of successor masks, one per source state.
+
+
+class _Masks(NamedTuple):
+    """The evaluator's one input form: successor rows per atom, a truth mask
+    per variable, and star entries ((x, y), mask), or None without a star."""
+
+    num_states: int
+    rows: dict[int, list[int]]
+    truth: dict[int, int]
+    star: Optional[list[tuple[Pair, int]]]
+
 
 def _plan(root: Formula | Program) -> list[tuple[object, list[int]]]:
     plan: list[tuple[object, list[int]]] = []
@@ -192,34 +188,63 @@ def _mask(states: Iterable[int]) -> int:
     return mask
 
 
-def _star_entries(model: KripkeModel):
-    if model.star is None:
+def _image(rows: list[int], mask: int) -> int:
+    """OR of the rows at the bits of mask: the successors of a set of states."""
+    reached = 0
+    for t in _bits(mask):
+        reached |= rows[t]
+    return reached
+
+
+def _masks(model: KripkeModel) -> _Masks:
+    rows = {}
+    for atom, pairs in model.relations.items():
+        rows[atom] = row = [0] * model.num_states
+        for s, t in pairs:
+            row[s] |= 1 << t
+    truth = {v: _mask(states) for v, states in model.valuation.items()}
+    star = None if model.star is None else [(p, _mask(zs)) for p, zs in model.star.items()]
+    return _Masks(model.num_states, rows, truth, star)
+
+
+def _model(masks: _Masks) -> KripkeModel:
+    return KripkeModel(
+        masks.num_states,
+        {a: {(s, t) for s, row in enumerate(rows) for t in _bits(row)}
+         for a, rows in masks.rows.items()},
+        {v: _bits(mask) for v, mask in masks.truth.items()},
+        None if masks.star is None else {p: _bits(mask) for p, mask in masks.star},
+    )
+
+
+def _star_entries(masks: _Masks) -> list[tuple[Pair, int]]:
+    if masks.star is None:
         raise MissingStarError(
             "model has no star function but a PRSPDL construct was evaluated"
         )
-    return model.star.items()
+    return masks.star
 
 
-def _special(model: KripkeModel, kind: str) -> list[int]:
+def _special(masks: _Masks, kind: str) -> list[int]:
     # s is composed from x and y (s in x*y): r1/r2 lead from s to x/y,
     # s1/s2 from x/y to s
-    rows = [0] * model.num_states
-    for (x, y), result in _star_entries(model):
+    rows = [0] * masks.num_states
+    for (x, y), result in _star_entries(masks):
         part = x if kind[1] == "1" else y
         if kind[0] == "r":
-            for s in result:
+            for s in _bits(result):
                 rows[s] |= 1 << part
         else:
-            rows[part] |= _mask(result)
+            rows[part] |= result
     return rows
 
 
-def _par(model: KripkeModel, left: list[int], right: list[int]) -> list[int]:
+def _par(masks: _Masks, left: list[int], right: list[int]) -> list[int]:
     # s -> t when s in x1*x2, t in y1*y2, x1 -> y1 by left and x2 -> y2 by
     # right; targets are looked up by (y1, y2) instead of scanning every entry
-    entries = [(x, _mask(result)) for x, result in _star_entries(model)]
+    entries = _star_entries(masks)
     targets = dict(entries)
-    rows = [0] * model.num_states
+    rows = [0] * masks.num_states
     for (x1, x2), sources in entries:
         reached = 0
         seconds = list(_bits(right[x2]))
@@ -246,15 +271,15 @@ def _star(rows: list[int]) -> list[int]:
     return rows
 
 
-def _run(plan: list[tuple[object, list[int]]], model: KripkeModel) -> int | list[int]:
+def _run(plan: list[tuple[object, list[int]]], masks: _Masks) -> int | list[int]:
     """Value of the plan's last entry: a truth mask or successor masks."""
-    n = model.num_states
+    n = masks.num_states
     full = (1 << n) - 1
     values: list = []
     for node, slots in plan:
         kind = type(node)
         if kind is Var:
-            value = _mask(model.valuation.get(node.index, ()))
+            value = masks.truth.get(node.index, 0)
         elif kind is Falsum:
             value = 0
         elif kind is Implies:
@@ -266,57 +291,82 @@ def _run(plan: list[tuple[object, list[int]]], model: KripkeModel) -> int | list
                 if not row & failing:
                     value |= 1 << s
         elif kind is Atomic:
-            value = [0] * n
-            for s, t in model.relations.get(node.index, ()):
-                value[s] |= 1 << t
+            value = masks.rows.get(node.index) or [0] * n
         elif kind is Special:
-            value = _special(model, node.kind)
+            value = _special(masks, node.kind)
         elif kind is Test:
             holds = values[slots[0]]
             value = [holds & 1 << s for s in range(n)]
         elif kind is Seq:
             right = values[slots[1]]
-            value = []
-            for row in values[slots[0]]:
-                reached = 0
-                for t in _bits(row):
-                    reached |= right[t]
-                value.append(reached)
+            value = [_image(right, row) for row in values[slots[0]]]
         elif kind is Choice:
             value = [a | b for a, b in zip(values[slots[0]], values[slots[1]])]
         elif kind is Inter:
             value = [a & b for a, b in zip(values[slots[0]], values[slots[1]])]
         elif kind is Par:
-            value = _par(model, values[slots[0]], values[slots[1]])
+            value = _par(masks, values[slots[0]], values[slots[1]])
         else:  # Star
             value = _star(values[slots[0]])
         values.append(value)
     return values[-1]
 
 
+def _evaluate(model: KripkeModel, root: Formula | Program, dialect: Dialect) -> int | list[int]:
+    validate(root, dialect)
+    return _run(_plan(root), _masks(model))
+
+
 def relation_of(model: KripkeModel, alpha: Program, dialect: Dialect) -> Relation:
     """Accessibility relation of a compound program term."""
-    validate(alpha, dialect)
-    rows = _run(_plan(alpha), model)
+    rows = _evaluate(model, alpha, dialect)
     return frozenset((s, t) for s, row in enumerate(rows) for t in _bits(row))
 
 
 def truth_set(model: KripkeModel, phi: Formula, dialect: Dialect) -> frozenset[int]:
     """All states satisfying phi; each distinct subterm is evaluated once."""
-    validate(phi, dialect)
-    return frozenset(_bits(_run(_plan(phi), model)))
+    return frozenset(_bits(_evaluate(model, phi, dialect)))
 
 
 def check(model: KripkeModel, state: int, phi: Formula, dialect: Dialect) -> bool:
     """Truth of phi at one state."""
     if state not in model.states:
         raise ModelError(f"state {state} not in model with {model.num_states} states")
-    validate(phi, dialect)
-    return bool(_run(_plan(phi), model) >> state & 1)
+    return bool(_evaluate(model, phi, dialect) >> state & 1)
 
 
 # ---------------------------------------------------------------------------
 # Model generation
+
+def _enumerate_masks(
+    num_states: int,
+    atoms: Iterable[int],
+    variables: Iterable[int],
+    dialect: Dialect,
+    star_support: Iterable[Pair] = (),
+    forced: frozenset[int] = frozenset(),
+) -> Iterator[_Masks]:
+    """The models of enumerate_models, lazily and in its order, with every
+    variable in forced true at every state."""
+    if num_states < 1:
+        raise ModelError("a model needs at least one state")
+    n, full = num_states, (1 << num_states) - 1
+    atom_list, var_list = sorted(set(atoms)), sorted(set(variables))
+    support = sorted(set(star_support)) if dialect is Dialect.PRSPDL else None
+    # one row of n bits per (atom, source state), per variable and per star
+    # pair, in that order; the first row's first bit varies slowest
+    edges, stars = len(atom_list) * n, len(atom_list) * n + len(var_list)
+    count = stars + len(support or ())
+    for counter in range(1 << count * n):
+        # reversed, bit i of the counter is bit i % n of row i // n
+        flipped = int(format(counter, f"0{count * n}b")[::-1], 2)
+        rows = [flipped >> i * n & full for i in range(count)]
+        truth = dict(zip(var_list, rows[edges:]))
+        truth.update((v, full) for v in forced)
+        star = None if support is None else [e for e in zip(support, rows[stars:]) if e[1]]
+        relations = {a: rows[j * n:(j + 1) * n] for j, a in enumerate(atom_list)}
+        yield _Masks(n, relations, truth, star)
+
 
 def enumerate_models(
     num_states: int,
@@ -333,43 +383,11 @@ def enumerate_models(
     enumerated over star_support only. Raises EnumerationLimitError when
     more than `limit` models would be yielded.
     """
-    if num_states < 1:
-        raise ModelError("a model needs at least one state")
-    atom_list = sorted(set(atoms))
-    var_list = sorted(set(variables))
-    pairs = list(itertools.product(range(num_states), repeat=2))
-    edge_slots = [(a, p) for a in atom_list for p in pairs]
-    val_slots = [(v, s) for v in var_list for s in range(num_states)]
-    star_slots = (
-        [(p, z) for p in sorted(set(star_support)) for z in range(num_states)]
-        if dialect is Dialect.PRSPDL
-        else []
-    )
-    total = len(edge_slots) + len(val_slots) + len(star_slots)
-    count = 0
-    for bits in itertools.product((False, True), repeat=total):
+    stream = _enumerate_masks(num_states, atoms, variables, dialect, star_support)
+    for count, masks in enumerate(stream):
         if limit is not None and count >= limit:
             raise EnumerationLimitError(f"more than {limit} models requested")
-        count += 1
-        i = 0
-        relations: dict[int, set[Pair]] = {}
-        for a, p in edge_slots:
-            if bits[i]:
-                relations.setdefault(a, set()).add(p)
-            i += 1
-        valuation: dict[int, set[int]] = {}
-        for v, s in val_slots:
-            if bits[i]:
-                valuation.setdefault(v, set()).add(s)
-            i += 1
-        star: Optional[dict[Pair, set[int]]] = None
-        if dialect is Dialect.PRSPDL:
-            star = {}
-            for p, z in star_slots:
-                if bits[i]:
-                    star.setdefault(p, set()).add(z)
-                i += 1
-        yield KripkeModel(num_states, relations, valuation, star)
+        yield _model(masks)
 
 
 def random_model(

@@ -1,21 +1,32 @@
-"""Reference model checker for the tests: the frozenset fold that
-pdlkit.semantics used before its bitset evaluator.
+"""Reference model checker and model enumerator for the tests: the
+frozenset fold that pdlkit.semantics used before its bitset evaluator, and
+the set-decoding enumerate_models that preceded its mask enumerator.
 
 Truth sets are frozensets of states and relations frozensets of pairs;
-`*` is the dense-matrix closure rtc_matrix and `||` scans every pair of
-star entries. It is slow and plain, and the fast evaluator must agree
-with it on every input.
+`*` is the squaring closure rtc_matrix and `||` scans every pair of star
+entries. Models are decoded from one tuple of bits each. Both are slow and
+plain, and the fast code must agree with them on every input.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import Iterable, Iterator, Optional
 
-from pdlkit.semantics import KripkeModel, Relation, _star_entries, rtc_matrix
+from pdlkit.semantics import (
+    EnumerationLimitError,
+    KripkeModel,
+    MissingStarError,
+    ModelError,
+    Pair,
+    Relation,
+    rtc_matrix,
+)
 from pdlkit.syntax import (
     Atomic,
     Box,
     Choice,
+    Dialect,
     Falsum,
     Formula,
     Implies,
@@ -73,6 +84,14 @@ def _evaluate(model: KripkeModel, root: Formula | Program):
     return fold(root, visit)
 
 
+def _star_entries(model: KripkeModel):
+    if model.star is None:
+        raise MissingStarError(
+            "model has no star function but a PRSPDL construct was evaluated"
+        )
+    return model.star.items()
+
+
 def _special(model: KripkeModel, kind: str) -> Relation:
     # s is composed from x and y (s in x*y): r1/r2 lead from s to x/y,
     # s1/s2 from x/y to s
@@ -91,3 +110,57 @@ def _par(model: KripkeModel, left_rel: Relation, right_rel: Relation) -> Relatio
             if (x1, y1) in left_rel and (x2, y2) in right_rel:
                 pairs.update(itertools.product(sources, targets))
     return frozenset(pairs)
+
+
+def enumerate_models(
+    num_states: int,
+    atoms: Iterable[int],
+    variables: Iterable[int],
+    dialect: Dialect,
+    star_support: Iterable[Pair] = (),
+    limit: Optional[int] = None,
+) -> Iterator[KripkeModel]:
+    """Yield every model over the signature, deterministically.
+
+    Membership bits vary fastest over star entries, then valuations, then
+    edges; the all-empty model comes first. For PRSPDL the star function is
+    enumerated over star_support only. Raises EnumerationLimitError when
+    more than `limit` models would be yielded.
+    """
+    if num_states < 1:
+        raise ModelError("a model needs at least one state")
+    atom_list = sorted(set(atoms))
+    var_list = sorted(set(variables))
+    pairs = list(itertools.product(range(num_states), repeat=2))
+    edge_slots = [(a, p) for a in atom_list for p in pairs]
+    val_slots = [(v, s) for v in var_list for s in range(num_states)]
+    star_slots = (
+        [(p, z) for p in sorted(set(star_support)) for z in range(num_states)]
+        if dialect is Dialect.PRSPDL
+        else []
+    )
+    total = len(edge_slots) + len(val_slots) + len(star_slots)
+    count = 0
+    for bits in itertools.product((False, True), repeat=total):
+        if limit is not None and count >= limit:
+            raise EnumerationLimitError(f"more than {limit} models requested")
+        count += 1
+        i = 0
+        relations: dict[int, set[Pair]] = {}
+        for a, p in edge_slots:
+            if bits[i]:
+                relations.setdefault(a, set()).add(p)
+            i += 1
+        valuation: dict[int, set[int]] = {}
+        for v, s in val_slots:
+            if bits[i]:
+                valuation.setdefault(v, set()).add(s)
+            i += 1
+        star: Optional[dict[Pair, set[int]]] = None
+        if dialect is Dialect.PRSPDL:
+            star = {}
+            for p, z in star_slots:
+                if bits[i]:
+                    star.setdefault(p, set()).add(z)
+                i += 1
+        yield KripkeModel(num_states, relations, valuation, star)

@@ -142,6 +142,20 @@ def test_sat_usage_errors(capsys):
     assert code == 2 and "mutually exclusive" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("sat", "--dialect", "ipdl", "--bounded", "2", "--cap", "-1", "p1"),
+    ("sat", "--dialect", "ipdl", "--bounded", "2", "--cap", "0", "p1"),
+    ("equisat-fuzz", "--dialect", "prspdl", "--count", "1", "--cap", "-1"),
+    ("equisat-fuzz", "--dialect", "pdl", "--count", "-3"),
+    ("equisat-fuzz", "--dialect", "ipdl", "--count", "-3"),
+])
+def test_out_of_range_search_bounds_are_input_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and ">= " in err
+    assert "Traceback" not in err
+
+
 def test_equisat_fuzz_lines(capsys):
     code, out, _ = run(
         capsys, "equisat-fuzz", "--dialect", "pdl", "--count", "10",

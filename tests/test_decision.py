@@ -17,7 +17,7 @@ from pdlkit.decision import (
     pdl_sat,
 )
 from pdlkit.fuzzing import formula_corpus, random_formula
-from pdlkit.semantics import KripkeModel, check, enumerate_models
+from pdlkit.semantics import KripkeModel, check
 from pdlkit.syntax import (
     FALSUM,
     TOP,
@@ -88,6 +88,29 @@ def test_bounded_sat_respects_cap_and_bounds():
     assert result.verdict is Verdict.UNKNOWN_AT_BOUND  # only the empty model per size
     with pytest.raises(ValueError):
         bounded_sat(TOP, PDL, 0)
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="per_size_model_cap must be >= 1"):
+            bounded_sat(TOP, PDL, 2, per_size_model_cap=cap)
+
+
+@pytest.mark.parametrize("dialect", [PDL, IPDL, PRSPDL])
+@pytest.mark.parametrize("universal_vars", [(), (1,)])
+def test_bounded_sat_builds_a_model_only_for_the_witness(dialect, universal_vars, monkeypatch):
+    built = []
+    post_init = KripkeModel.__post_init__
+
+    def counting(self):
+        built.append(self.num_states)
+        post_init(self)
+
+    monkeypatch.setattr(KripkeModel, "__post_init__", counting)
+    hit = parse_formula("p2 & <a1>~p2", dialect)  # first hit at two states
+    result = bounded_sat(hit, dialect, 2, universal_vars=universal_vars)
+    assert result.verdict is Verdict.SATISFIABLE and built == [2]
+    built.clear()
+    miss = bounded_sat(conj(Var(2), neg(Var(2))), dialect, 2, per_size_model_cap=300,
+                       universal_vars=universal_vars)
+    assert miss.verdict is Verdict.UNKNOWN_AT_BOUND and built == []
 
 
 def _reference_scan(phi, dialect, max_states, cap, universal_vars=()):
@@ -97,7 +120,7 @@ def _reference_scan(phi, dialect, max_states, cap, universal_vars=()):
     forced = frozenset(universal_vars)
     for size in range(1, max_states + 1):
         support = list(itertools.product(range(size), repeat=2)) if dialect is PRSPDL else ()
-        stream = enumerate_models(
+        stream = _reference.enumerate_models(
             size, m.atoms, sorted(m.variables - forced), dialect, star_support=support
         )
         for model in itertools.islice(stream, cap):
