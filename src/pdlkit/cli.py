@@ -82,10 +82,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("complete", "witness"), default=None,
                    help="complete verdict comparison (PDL) or witness-forward "
                    "construction (any dialect); default picks by dialect")
-    p.add_argument("--max-states", type=int, default=4,
-                   help="witness mode: bounded-search state limit")
-    p.add_argument("--cap", type=int, default=6000,
-                   help="witness mode: models examined per state count")
+    p.add_argument("--max-states", type=int, default=None,
+                   help="witness mode: bounded-search state limit (default 4)")
+    p.add_argument("--cap", type=int, default=None,
+                   help="witness mode: models examined per state count (default 6000)")
     p.add_argument("--ceiling", type=float, default=None,
                    help="fail if the measured blowup constant exceeds this")
     p.add_argument("--replay", metavar="PATH",
@@ -110,6 +110,11 @@ def _input_formulas(args) -> list[Formula]:
     if args.formula is None or not args.formula.strip():
         raise ValueError("no formula given (inline argument or --file)")
     return [parse_formula(args.formula, args.dialect)]
+
+
+def _at_least_one(option: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{option} must be >= 1")
 
 
 def _emit(args, record: dict, text: str) -> None:
@@ -170,8 +175,11 @@ def cmd_sat(args) -> int:
         raise ValueError(
             f"no complete back-end for {args.dialect.value.upper()}; use --bounded N"
         )
-    if not use_complete and args.bounded is None:
-        raise ValueError(f"{args.dialect.value.upper()} needs --bounded N")
+    if not use_complete:
+        if args.bounded is None:
+            raise ValueError(f"{args.dialect.value.upper()} needs --bounded N")
+        _at_least_one("--bounded", args.bounded)
+        _at_least_one("--cap", args.cap)
     for phi in _input_formulas(args):
         if use_complete:
             result = decision.pdl_sat(phi)
@@ -205,13 +213,19 @@ def cmd_equisat_fuzz(args) -> int:
     if mode == "complete":
         if args.dialect is not Dialect.PDL:
             raise ValueError("complete mode needs the PDL dialect")
+        if args.max_states is not None or args.cap is not None:
+            raise ValueError("--max-states and --cap apply to witness mode only")
         report = fuzzing.run_complete_fuzz(
             args.count, args.seed, args.max_size, args.max_vars, args.max_atoms
         )
     else:
+        max_states = 4 if args.max_states is None else args.max_states
+        cap = 6000 if args.cap is None else args.cap
+        _at_least_one("--max-states", max_states)
+        _at_least_one("--cap", cap)
         report = fuzzing.run_witness_fuzz(
             args.dialect, args.count, args.seed, args.max_size, args.max_vars,
-            args.max_atoms, args.max_states, args.cap
+            args.max_atoms, max_states, cap
         )
     ceiling_ok = args.ceiling is None or report.blowup_constant <= args.ceiling
     record = {

@@ -6,16 +6,21 @@ on, and evaluates the formula on each. It can only answer Satisfiable or
 UnknownAtBound; caps make it incomplete by design.
 
 pdl_sat decides regular PDL (no tests) by type elimination over the
-Fischer-Ladner closure. Types are built as saturated signed sets, but
-only those reachable from the goal formula's own saturation by modal
-demands, not all exponentially many subsets of the closure: each
-unsatisfied box demand spawns the saturations of its successor seed, and
-elimination then repeatedly deletes types with an unfulfillable demand.
-Star demands must bottom out in finitely many steps, which is checked by
-a least-fixpoint reachability pass over (type, demand) pairs after every
-deletion round, iterating rounds to a fixpoint. A surviving goal type
-yields a witness model that is verified by the model checker before the
-verdict is returned.
+Fischer-Ladner closure (Pratt, FOCS 1979), on two tables. The saturation
+table gives each signed closure literal one rule: add all its parts, or
+branch over them; a false member's rule is the dual of its true one.
+Types are the saturated signed sets, built only as reached from the goal
+formula's own saturation by modal demands, not all exponentially many
+subsets of the closure. The demand table lists, per type, each negated
+member with the (type, member) pairs that fulfil it: the successor types
+of a box [a]psi paired with psi, the unfolds of a composite box negated
+in the same type, none for a member that is not a box. Elimination reads
+only the demand table: a least fixpoint over (type, member) pairs finds
+the demands that bottom out through alive types in finitely many steps,
+which star demands must, and each round deletes the types with a demand
+left over, until none is. A surviving goal type yields a witness model,
+one successor per modal demand, that is verified by the model checker
+before the verdict is returned.
 """
 
 from __future__ import annotations
@@ -113,16 +118,28 @@ def bounded_sat(
 # ---------------------------------------------------------------------------
 # Fischer-Ladner closure
 
-# Saturation rule per closure formula, indexed over the closure list.
-# ("var", index) | ("bot",) | ("imp", left, right) | ("boxa", atom, body)
-# | ("boxs", unfolded) | ("boxc", left_unfold, right_unfold)
-# | ("boxstar", body, step)
+class _Closure(NamedTuple):
+    """Closure members, phi first, each referred to by its index i; the
+    signed literal 2*i says 'member i true' and 2*i+1 'member i false'."""
 
-def _closure_list(phi: Formula) -> tuple[list[Formula], list[tuple]]:
-    """Closure members in first-reached order, phi first, and the rule of
-    each, whose closure members are given by their index in that order."""
-    order: list[Formula] = []
-    rules: list[tuple] = []
+    members: list[Formula]
+    # per literal: (branch, parts); saturation adds all parts, or with
+    # branch set tries each part in its own branch (no parts: it closes)
+    expand: list[tuple[bool, tuple[int, ...]]]
+    modal: dict[int, tuple[int, int]]  # [a]psi -> (a, psi)
+    unfolds: dict[int, tuple[int, ...]]  # [alpha;beta]psi, [alpha u beta]psi, [alpha*]psi
+    variables: dict[int, int]  # p_k -> k
+
+
+def _closure_list(phi: Formula) -> _Closure:
+    """The closure in first-reached order, with its saturation rules."""
+    members: list[Formula] = []
+    # per member, the rule of 'member true' over (formula, negated) parts,
+    # or None when both of its literals only record themselves
+    rules: list[Optional[tuple[bool, tuple[tuple[Formula, int], ...]]]] = []
+    modal: dict[int, tuple[int, Formula]] = {}
+    unfolds: list[int] = []
+    variables: dict[int, int] = {}
     seen: set[Formula] = set()
     stack = [phi]
     while stack:
@@ -130,32 +147,53 @@ def _closure_list(phi: Formula) -> tuple[list[Formula], list[tuple]]:
         if f in seen:
             continue
         seen.add(f)
-        order.append(f)
+        i = len(members)
+        members.append(f)
+        rule, unfold = None, ()
         match f:
             case Var(index):
-                rule, pushed = ("var", index), ()
+                variables[i] = index
+                pushed = ()
             case Falsum():
-                rule, pushed = ("bot",), ()
+                rule, pushed = (True, ()), ()  # true branches over nothing: it closes
             case Implies(left, right):
-                rule, pushed = ("imp", left, right), (right, left)
+                rule, pushed = (True, ((left, 1), (right, 0))), (right, left)
             case Box(Atomic(atom), body):
-                rule, pushed = ("boxa", atom, body), (body,)
+                modal[i] = (atom, body)
+                pushed = (body,)
             case Box(Seq(first, second), body):
-                rule = ("boxs", Box(first, Box(second, body)))
-                pushed = (body, rule[1])
+                unfold = (Box(first, Box(second, body)),)
+                pushed = (body, *unfold)
             case Box(Choice(first, second), body):
-                rule = ("boxc", Box(first, body), Box(second, body))
-                pushed = (body, rule[2], rule[1])
+                unfold = (Box(first, body), Box(second, body))
+                pushed = (body, *reversed(unfold))
             case Box(Star(inner), body):
-                rule = ("boxstar", body, Box(inner, f))
-                pushed = (body, rule[2])
+                unfold = (body, Box(inner, f))
+                pushed = unfold
             case _:
                 raise TypeError(f"not a regular-PDL formula: {f!r}")
+        if unfold:
+            unfolds.append(i)
+            rule = (False, tuple((u, 0) for u in unfold))  # true when every unfold is
         rules.append(rule)
         stack.extend(pushed)
-    idx = {f: i for i, f in enumerate(order)}
-    # the kind, a variable or an atom index stay; a formula becomes its index
-    return order, [tuple(idx.get(part, part) for part in rule) for rule in rules]
+    index = {f: i for i, f in enumerate(members)}
+    expand: list[tuple[bool, tuple[int, ...]]] = []
+    for rule in rules:
+        if rule is None:
+            expand += [(False, ()), (False, ())]  # nothing to add
+        else:
+            # 'member false' is the dual rule: the other choice over the negated parts
+            branch, parts = rule
+            lits = tuple(2 * index[g] + negated for g, negated in parts)
+            expand += [(branch, lits), (not branch, tuple(lit ^ 1 for lit in lits))]
+    return _Closure(
+        members,
+        expand,
+        {i: (atom, index[body]) for i, (atom, body) in modal.items()},
+        {i: tuple(lit >> 1 for lit in expand[2 * i][1]) for i in unfolds},
+        variables,
+    )
 
 
 def fl_closure(phi: Formula) -> frozenset[Formula]:
@@ -167,17 +205,15 @@ def fl_closure(phi: Formula) -> frozenset[Formula]:
     and its negation.
     """
     validate(phi, Dialect.PDL)
-    return frozenset(_closure_list(phi)[0])
+    return frozenset(_closure_list(phi).members)
 
 
-_BOX_KINDS = ("boxa", "boxs", "boxc", "boxstar")
-
-
-def _saturate(seed: Iterable[int], rules: list[tuple]) -> list[frozenset[int]]:
+def _saturate(
+    seed: Iterable[int], expand: list[tuple[bool, tuple[int, ...]]]
+) -> list[frozenset[int]]:
     """All consistent saturations of the signed seed, deduplicated.
 
-    Literal encoding: 2*i is 'formula i true', 2*i+1 is 'formula i false'.
-    Decomposed formulas stay in the set, so a finished type records the
+    Decomposed literals stay in the set, so a finished type records the
     polarity of everything processed and contradictions surface as a
     lit/complement clash.
     """
@@ -186,44 +222,19 @@ def _saturate(seed: Iterable[int], rules: list[tuple]) -> list[frozenset[int]]:
     stack: list[tuple[set[int], list[int]]] = [(set(), list(seed))]
     while stack:
         assigned, pending = stack.pop()
-        completed = True
         while pending:
             lit = pending.pop()
             if lit in assigned:
                 continue
             if lit ^ 1 in assigned:
-                completed = False
-                break
-            i, negated = lit >> 1, lit & 1
-            rule = rules[i]
-            kind = rule[0]
-            if kind == "bot" and not negated:
-                completed = False
                 break
             assigned.add(lit)
-            if kind == "imp":
-                left, right = rule[1], rule[2]
-                if negated:
-                    pending.append(2 * left)
-                    pending.append(2 * right + 1)
-                else:
-                    for branch in (2 * left + 1, 2 * right):
-                        stack.append((set(assigned), pending + [branch]))
-                    completed = False
-                    break
-            elif kind == "boxs":
-                pending.append(2 * rule[1] + negated)
-            elif kind == "boxc" or kind == "boxstar":
-                first, second = rule[1], rule[2]
-                if negated:
-                    for branch in (2 * first + 1, 2 * second + 1):
-                        stack.append((set(assigned), pending + [branch]))
-                    completed = False
-                    break
-                else:
-                    pending.append(2 * first)
-                    pending.append(2 * second)
-        if completed:
+            branch, parts = expand[lit]
+            if branch:
+                stack.extend((set(assigned), pending + [part]) for part in parts)
+                break
+            pending.extend(parts)
+        else:
             node = frozenset(assigned)
             if node not in emitted:
                 emitted.add(node)
@@ -231,54 +242,33 @@ def _saturate(seed: Iterable[int], rules: list[tuple]) -> list[frozenset[int]]:
     return results
 
 
-def _fulfilled_pairs(
-    nodes: list[frozenset[int]],
-    rules: list[tuple],
-    edges: dict[tuple[int, int], tuple[int, ...]],
-    alive: set[int],
-) -> dict[tuple[int, int], int]:
-    """Least fixpoint of demand fulfillment over (type, formula) pairs.
+# A type's demands: each member negated in it, with the (type, member)
+# pairs whose fulfilment fulfils it, or None when it is not a box.
+_Demands = dict[int, Optional[tuple[tuple[int, int], ...]]]
 
-    (n, i) is fulfilled when the demand 'formula i false' can bottom out
-    through alive types in finitely many steps; the stored integer is the
-    round it was established in, used to pick shortest-witness successors.
+
+def _fulfilled_pairs(demands: list[_Demands], alive: set[int]) -> dict[tuple[int, int], int]:
+    """Least fixpoint of demand fulfilment over (type, member) pairs.
+
+    A demand that is not a box is fulfilled in round 0; a box demand in
+    the first round after one of its alternatives is, which only pairs of
+    alive types can be. The round is kept to pick shortest-witness
+    successors.
     """
-    fulfilled: dict[tuple[int, int], int] = {}
-    for nid in alive:
-        for lit in nodes[nid]:
-            if lit & 1 and rules[lit >> 1][0] not in _BOX_KINDS:
-                fulfilled[(nid, lit >> 1)] = 0
+    fulfilled = {
+        (nid, i): 0
+        for nid in alive
+        for i, alternatives in demands[nid].items()
+        if alternatives is None
+    }
     rounds = 0
     changed = True
     while changed:
         changed = False
         rounds += 1
         for nid in alive:
-            node = nodes[nid]
-            for lit in node:
-                if not lit & 1:
-                    continue
-                i = lit >> 1
-                if (nid, i) in fulfilled:
-                    continue
-                rule = rules[i]
-                kind = rule[0]
-                if kind == "boxa":
-                    body = rule[2]
-                    ok = any(
-                        m in alive and (m, body) in fulfilled
-                        for m in edges.get((nid, lit), ())
-                    )
-                elif kind == "boxs":
-                    ok = (nid, rule[1]) in fulfilled
-                elif kind in ("boxc", "boxstar"):
-                    ok = any(
-                        2 * u + 1 in node and (nid, u) in fulfilled
-                        for u in (rule[1], rule[2])
-                    )
-                else:
-                    continue
-                if ok:
+            for i, alternatives in demands[nid].items():
+                if (nid, i) not in fulfilled and any(p in fulfilled for p in alternatives):
                     fulfilled[(nid, i)] = rounds
                     changed = True
     return fulfilled
@@ -287,63 +277,51 @@ def _fulfilled_pairs(
 def pdl_sat(phi: Formula, max_nodes: int = 100000) -> SatResult:
     """Complete satisfiability for regular PDL; see the module docstring."""
     validate(phi, Dialect.PDL)
-    rules = _closure_list(phi)[1]
+    closure = _closure_list(phi)
 
     nodes: list[frozenset[int]] = []
     node_ids: dict[frozenset[int], int] = {}
-    seed_cache: dict[frozenset[int], list[frozenset[int]]] = {}
+    seed_cache: dict[frozenset[int], tuple[int, ...]] = {}
 
-    def intern(node: frozenset[int]) -> int:
-        nid = node_ids.get(node)
-        if nid is None:
-            if len(nodes) >= max_nodes:
-                raise CapacityError(f"more than {max_nodes} types needed")
-            nid = len(nodes)
-            node_ids[node] = nid
-            nodes.append(node)
-        return nid
-
-    def saturations(seed: list[int]) -> list[frozenset[int]]:
+    def successors(seed: list[int]) -> tuple[int, ...]:
+        """Ids of the saturations of seed; new types are numbered on first sight."""
         key = frozenset(seed)
-        cached = seed_cache.get(key)
-        if cached is None:
-            cached = _saturate(seed, rules)
-            seed_cache[key] = cached
-        return cached
+        if key not in seed_cache:
+            ids = []
+            for node in _saturate(seed, closure.expand):
+                nid = node_ids.setdefault(node, len(nodes))
+                if nid == len(nodes):
+                    if nid >= max_nodes:
+                        raise CapacityError(f"more than {max_nodes} types needed")
+                    nodes.append(node)
+                ids.append(nid)
+            seed_cache[key] = tuple(ids)
+        return seed_cache[key]
 
-    root_ids = [intern(node) for node in saturations([0])]  # phi is member 0
-    edges: dict[tuple[int, int], tuple[int, ...]] = {}
-    cursor = 0
-    while cursor < len(nodes):
-        nid = cursor
-        cursor += 1
+    root_ids = successors([0])  # phi is member 0
+    demands: list[_Demands] = []
+    while len(demands) < len(nodes):
+        nid = len(demands)
         node = nodes[nid]
-        for lit in sorted(node):
-            if lit & 1 and rules[lit >> 1][0] == "boxa":
-                atom, body = rules[lit >> 1][1], rules[lit >> 1][2]
-                seed = sorted(
-                    2 * rules[other >> 1][2]
-                    for other in node
-                    if not other & 1
-                    and rules[other >> 1][0] == "boxa"
-                    and rules[other >> 1][1] == atom
-                )
-                seed.append(2 * body + 1)
-                edges[(nid, lit)] = tuple(intern(s) for s in saturations(seed))
+        # fulfilment visits demands in the type's own order, successors are
+        # numbered in member order
+        demand: _Demands = dict.fromkeys(lit >> 1 for lit in node if lit & 1)
+        boxes = [
+            closure.modal[lit >> 1] for lit in node if not lit & 1 and lit >> 1 in closure.modal
+        ]
+        for i in sorted(demand):
+            if i in closure.modal:
+                atom, body = closure.modal[i]
+                seed = sorted(2 * psi for a, psi in boxes if a == atom) + [2 * body + 1]
+                demand[i] = tuple((m, body) for m in successors(seed))
+            elif i in closure.unfolds:
+                demand[i] = tuple((nid, u) for u in closure.unfolds[i] if 2 * u + 1 in node)
+        demands.append(demand)
 
     alive = set(range(len(nodes)))
     while True:
-        fulfilled = _fulfilled_pairs(nodes, rules, edges, alive)
-        dead = set()
-        for nid in alive:
-            for lit in nodes[nid]:
-                if (
-                    lit & 1
-                    and rules[lit >> 1][0] in _BOX_KINDS
-                    and (nid, lit >> 1) not in fulfilled
-                ):
-                    dead.add(nid)
-                    break
+        fulfilled = _fulfilled_pairs(demands, alive)
+        dead = {nid for nid in alive if any((nid, i) not in fulfilled for i in demands[nid])}
         if not dead:
             break
         alive -= dead
@@ -352,49 +330,37 @@ def pdl_sat(phi: Formula, max_nodes: int = 100000) -> SatResult:
     if not surviving:
         return SatResult(Verdict.UNSATISFIABLE)
     return SatResult(Verdict.SATISFIABLE, _extract_witness(
-        phi, surviving[0], nodes, rules, edges, alive, fulfilled))
+        phi, surviving[0], nodes, closure, demands, fulfilled))
 
 
 def _extract_witness(
     phi: Formula,
     root: int,
     nodes: list[frozenset[int]],
-    rules: list[tuple],
-    edges: dict[tuple[int, int], tuple[int, ...]],
-    alive: set[int],
+    closure: _Closure,
+    demands: list[_Demands],
     fulfilled: dict[tuple[int, int], int],
 ) -> Witness:
     """Model over the demand-reachable surviving types, one successor per
-    demand, chosen to fulfill star demands in the fewest rounds."""
+    modal demand, chosen to fulfil star demands in the fewest rounds."""
     state_of = {root: 0}
-    order = [root]
+    order = [root]  # grows while it is walked
     relations: dict[int, set[tuple[int, int]]] = {}
-    cursor = 0
-    while cursor < len(order):
-        nid = order[cursor]
-        cursor += 1
-        node = nodes[nid]
-        for lit in sorted(node):
-            if lit & 1 and rules[lit >> 1][0] == "boxa":
-                atom, body = rules[lit >> 1][1], rules[lit >> 1][2]
-                best = None
-                for m in edges[(nid, lit)]:
-                    if m in alive and (m, body) in fulfilled:
-                        key = (fulfilled[(m, body)], m)
-                        if best is None or key < best[0]:
-                            best = (key, m)
-                assert best is not None, "alive type with unfulfillable demand"
-                target = best[1]
+    for nid in order:
+        for i in sorted(demands[nid]):
+            if i in closure.modal:
+                _, target = min((fulfilled[p], p[0]) for p in demands[nid][i] if p in fulfilled)
                 if target not in state_of:
                     state_of[target] = len(order)
                     order.append(target)
-                relations.setdefault(atom, set()).add((state_of[nid], state_of[target]))
+                relations.setdefault(closure.modal[i][0], set()).add(
+                    (state_of[nid], state_of[target]))
     valuation: dict[int, set[int]] = {}
-    for nid in order:
+    for nid, state in state_of.items():
         for lit in nodes[nid]:
-            if not lit & 1 and rules[lit >> 1][0] == "var":
-                valuation.setdefault(rules[lit >> 1][1], set()).add(state_of[nid])
-    model = KripkeModel(len(order), relations, valuation)
+            if not lit & 1 and lit >> 1 in closure.variables:
+                valuation.setdefault(closure.variables[lit >> 1], set()).add(state)
+    model = KripkeModel(len(state_of), relations, valuation)
     if not semantics.check(model, 0, phi, Dialect.PDL):
         raise AssertionError("extracted witness failed model checking")
     return Witness(model, 0)

@@ -290,18 +290,10 @@ def prune_to_marked(
     marked = semantics.truth_set(model, ctx.marker, ctx.dialect)
     if s0 not in marked:
         raise EmbeddingError(f"marker p{ctx.n + 1} does not hold at state {s0}")
-    reach = semantics.relation_of(model, ctx.gamma, ctx.dialect)
-    successors: dict[int, list[int]] = {}
-    for s, t in reach:
-        successors.setdefault(s, []).append(t)
-    keep = {s0}
-    frontier = [s0]
-    while frontier:
-        x = frontier.pop()
-        for y in successors.get(x, ()):
-            if y in marked and y not in keep:
-                keep.add(y)
-                frontier.append(y)
+    into_marked = [
+        (s, t) for s, t in semantics.relation_of(model, ctx.gamma, ctx.dialect) if t in marked
+    ]
+    keep = {t for s, t in semantics.rtc_matrix(into_marked, model.num_states) if s == s0}
     remap = {old: new for new, old in enumerate(sorted(keep))}
     relations = {
         a: {(remap[s], remap[t]) for s, t in pairs if s in keep and t in keep}

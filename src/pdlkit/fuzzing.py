@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional
 
 from . import decision, embedding, semantics
 from .syntax import (
@@ -173,13 +172,15 @@ def _blowup_ratio(translation: embedding.Translation) -> float:
     return metrics(translation.grounded).size / (base * base)
 
 
+_COMPLETE_MAX_TYPES = 200000  # pdl_sat's type ceiling, twice its default
+
+
 def run_complete_fuzz(
     count: int,
     seed: int,
     max_size: int = 12,
     max_vars: int = 3,
     max_atoms: int = 2,
-    max_nodes: int = 200000,
 ) -> FuzzReport:
     """PDL only: the complete back-end must give equal verdicts for phi
     and embed(phi); also measures the size-blowup constant."""
@@ -188,8 +189,8 @@ def run_complete_fuzz(
         report.total += 1
         translation = embedding.translate(phi, Dialect.PDL)
         report.blowup_constant = max(report.blowup_constant, _blowup_ratio(translation))
-        direct = decision.pdl_sat(phi, max_nodes=max_nodes)
-        translated = decision.pdl_sat(translation.grounded, max_nodes=max_nodes)
+        direct = decision.pdl_sat(phi, max_nodes=_COMPLETE_MAX_TYPES)
+        translated = decision.pdl_sat(translation.grounded, max_nodes=_COMPLETE_MAX_TYPES)
         report.checked += 1
         if direct.verdict is decision.Verdict.SATISFIABLE:
             report.sat_count += 1
@@ -213,13 +214,12 @@ def run_witness_fuzz(
     max_atoms: int = 2,
     max_states: int = 4,
     per_size_model_cap: int = 6000,
-    max_attempts: Optional[int] = None,
 ) -> FuzzReport:
     """Forward construction: when bounded search finds a marker-universal
     model of hat(phi), gadget attachment must satisfy the grounding."""
     report = FuzzReport("witness", dialect, seed)
     rng = random.Random(seed)
-    attempts_left = max_attempts if max_attempts is not None else target_hits * 50
+    attempts_left = target_hits * 50
     while report.checked < target_hits and attempts_left > 0:
         attempts_left -= 1
         phi = random_formula(rng, dialect, max_size, max_vars, max_atoms)

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from pdlkit import decision, embedding
+from pdlkit import decision, embedding, fuzzing
 from pdlkit.cli import main
 from pdlkit.semantics import KripkeModel, check, load_model, save_model
 from pdlkit.syntax import Dialect, metrics, parse_formula
@@ -54,6 +54,14 @@ def test_translate_reads_formula_files(tmp_path, capsys):
 def test_translate_requires_some_formula(capsys):
     code, _, err = run(capsys, "translate", "--dialect", "pdl")
     assert code == 2 and "no formula" in err
+
+
+def test_formula_file_without_formulas_is_an_input_error(tmp_path, capsys):
+    source = tmp_path / "empty.txt"
+    source.write_text("# only a comment\n\n   \n")
+    code, out, err = run(capsys, "sat", "--dialect", "pdl", "--file", str(source))
+    assert (code, out) == (2, "")
+    assert err == f"error: no formulas in {source}\n"
 
 
 def test_check_command(tmp_path, capsys):
@@ -142,18 +150,25 @@ def test_sat_usage_errors(capsys):
     assert code == 2 and "mutually exclusive" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ("sat", "--dialect", "ipdl", "--bounded", "2", "--cap", "-1", "p1"),
-    ("sat", "--dialect", "ipdl", "--bounded", "2", "--cap", "0", "p1"),
-    ("equisat-fuzz", "--dialect", "prspdl", "--count", "1", "--cap", "-1"),
-    ("equisat-fuzz", "--dialect", "pdl", "--count", "-3"),
-    ("equisat-fuzz", "--dialect", "ipdl", "--count", "-3"),
+@pytest.mark.parametrize("argv, message", [
+    (("sat", "--dialect", "ipdl", "--bounded", "2", "--cap", "-1", "p1"), "--cap must be >= 1"),
+    (("sat", "--dialect", "ipdl", "--bounded", "2", "--cap", "0", "p1"), "--cap must be >= 1"),
+    (("sat", "--dialect", "ipdl", "--bounded", "0", "p1"), "--bounded must be >= 1"),
+    (("equisat-fuzz", "--dialect", "prspdl", "--count", "1", "--cap", "-1"),
+     "--cap must be >= 1"),
+    (("equisat-fuzz", "--dialect", "ipdl", "--count", "1", "--max-states", "0"),
+     "--max-states must be >= 1"),
+    (("equisat-fuzz", "--dialect", "pdl", "--count", "-3"), "--count must be >= 0"),
+    (("equisat-fuzz", "--dialect", "ipdl", "--count", "-3"), "--count must be >= 0"),
+    (("equisat-fuzz", "--dialect", "pdl", "--count", "2", "--cap", "-7", "--max-states", "-3"),
+     "--max-states and --cap apply to witness mode only"),
+    (("equisat-fuzz", "--dialect", "pdl", "--mode", "complete", "--count", "2", "--cap", "6000"),
+     "--max-states and --cap apply to witness mode only"),
 ])
-def test_out_of_range_search_bounds_are_input_errors(capsys, argv):
+def test_out_of_range_search_bounds_are_input_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err.startswith("error:") and ">= " in err
-    assert "Traceback" not in err
+    assert err == f"error: {message}\n"
 
 
 def test_equisat_fuzz_lines(capsys):
@@ -181,6 +196,27 @@ def test_equisat_fuzz_ceiling_violation(capsys):
         "--seed", "3", "--ceiling", "0.001",
     )
     assert code == 1 and "exceeds ceiling" in err
+
+
+def test_equisat_fuzz_replays_counterexamples(tmp_path, capsys, monkeypatch):
+    phi = parse_formula("[a1]p1 -> <a1*>p2", Dialect.PDL)
+
+    def one_failure(count, seed, max_size, max_vars, max_atoms):
+        report = fuzzing.FuzzReport("complete", Dialect.PDL, seed, total=1, checked=1)
+        report.failures.append(fuzzing.FuzzFailure(phi, "verdict mismatch"))
+        return report
+
+    monkeypatch.setattr(fuzzing, "run_complete_fuzz", one_failure)
+    replay = tmp_path / "replay.jsonl"
+    code, _, err = run(
+        capsys, "equisat-fuzz", "--dialect", "pdl", "--count", "1", "--replay", str(replay),
+    )
+    assert code == 1
+    assert err.startswith("counterexample: ") and "verdict mismatch" in err
+    [line] = replay.read_text().splitlines()
+    record = json.loads(line)
+    assert parse_formula(record["formula"], Dialect.PDL) == phi
+    assert record["mode"] == "complete" and record["detail"] == "verdict mismatch"
 
 
 def test_equisat_fuzz_complete_mode_needs_pdl(capsys):
