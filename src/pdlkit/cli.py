@@ -62,10 +62,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sat", help="decide or search satisfiability")
     add_common(p)
-    p.add_argument("--complete", action="store_true",
-                   help="complete decision procedure (PDL only; default for PDL)")
     p.add_argument("--bounded", type=int, metavar="N",
-                   help="bounded model search up to N states")
+                   help="bounded model search up to N states (without it, PDL "
+                   "runs the complete decision procedure)")
     p.add_argument("--cap", type=int, default=20000,
                    help="models examined per state count (default 20000)")
     p.add_argument("--emit-witness", metavar="PATH",
@@ -117,11 +116,30 @@ def _at_least_one(option: str, value: int) -> None:
         raise ValueError(f"{option} must be >= 1")
 
 
-def _emit(args, record: dict, text: str) -> None:
-    if args.format == "lines":
-        print(json.dumps(record))
-    else:
-        print(text)
+def _text(record: dict) -> str:
+    """The text form of a result record."""
+    command = record["command"]
+    if command == "translate":
+        text = ("{output}\ninput size {input_size}, output size {output_size}, "
+                "n={n}, l={l}, b={b}").format_map(record)
+        if "hat" in record:
+            text += "\nhat: {hat}\ntheta: {theta}".format_map(record)
+        return text
+    if command == "check":
+        return "true" if record["result"] else "false"
+    if command == "sat":
+        if "witness_state" not in record:
+            return record["verdict"]
+        return "{verdict} (witness: state {witness_state} of {witness_states})".format_map(record)
+    if command == "equisat-fuzz":
+        return ("{mode} mode, {total} formulas, {checked} checked, {sat} satisfiable, "
+                "{failures} failures, blowup constant {blowup_constant:.4f}").format_map(record)
+    model = json.dumps(record["model"], indent=2)  # gadget
+    return f"{model}\nA_{record['m']}: {record['A']}\nB_{record['m']}: {record['B']}"
+
+
+def _emit(args, record: dict) -> None:
+    print(json.dumps(record) if args.format == "lines" else _text(record))
 
 
 def cmd_translate(args) -> int:
@@ -139,45 +157,27 @@ def cmd_translate(args) -> int:
             "l": ctx.l,
             "b": ctx.b,
         }
-        lines = [
-            print_formula(grounded),
-            f"input size {in_metrics.size}, output size {out_metrics.size}, "
-            f"n={ctx.n}, l={ctx.l}, b={ctx.b}",
-        ]
         if args.emit_hat:
             record["hat"] = print_formula(hatted)
             record["theta"] = print_formula(embedding.theta(ctx, normalized))
-            lines.append(f"hat: {record['hat']}")
-            lines.append(f"theta: {record['theta']}")
-        _emit(args, record, "\n".join(lines))
+        _emit(args, record)
     return 0
 
 
 def cmd_check(args) -> int:
     model = semantics.load_model(args.model)
-    exit_code = 0
     for phi in _input_formulas(args):
         verdict = semantics.check(model, args.state, phi, args.dialect)
-        _emit(
-            args,
-            {"command": "check", "formula": print_formula(phi), "state": args.state,
-             "result": verdict},
-            "true" if verdict else "false",
-        )
-    return exit_code
+        _emit(args, {"command": "check", "formula": print_formula(phi),
+                     "state": args.state, "result": verdict})
+    return 0
 
 
 def cmd_sat(args) -> int:
-    if args.complete and args.bounded is not None:
-        raise ValueError("--complete and --bounded are mutually exclusive")
-    use_complete = args.complete or (args.dialect is Dialect.PDL and args.bounded is None)
+    use_complete = args.bounded is None
     if use_complete and args.dialect is not Dialect.PDL:
-        raise ValueError(
-            f"no complete back-end for {args.dialect.value.upper()}; use --bounded N"
-        )
+        raise ValueError(f"{args.dialect.value.upper()} needs --bounded N")
     if not use_complete:
-        if args.bounded is None:
-            raise ValueError(f"{args.dialect.value.upper()} needs --bounded N")
         _at_least_one("--bounded", args.bounded)
         _at_least_one("--cap", args.cap)
     for phi in _input_formulas(args):
@@ -191,18 +191,15 @@ def cmd_sat(args) -> int:
             "backend": "complete" if use_complete else "bounded",
             "verdict": result.verdict.value,
         }
-        text = result.verdict.value
         if result.bound_used is not None:
             record["bound_used"] = result.bound_used
         if result.witness is not None:
             record["witness_state"] = result.witness.state
             record["witness_states"] = result.witness.model.num_states
-            text += (f" (witness: state {result.witness.state} of "
-                     f"{result.witness.model.num_states})")
             if args.emit_witness:
                 semantics.save_model(result.witness.model, args.emit_witness)
                 record["witness_file"] = args.emit_witness
-        _emit(args, record, text)
+        _emit(args, record)
     return 0
 
 
@@ -241,12 +238,7 @@ def cmd_equisat_fuzz(args) -> int:
         "blowup_constant": round(report.blowup_constant, 6),
         "ceiling_ok": ceiling_ok,
     }
-    text = (
-        f"{mode} mode, {report.total} formulas, {report.checked} checked, "
-        f"{report.sat_count} satisfiable, {len(report.failures)} failures, "
-        f"blowup constant {report.blowup_constant:.4f}"
-    )
-    _emit(args, record, text)
+    _emit(args, record)
     if report.failures and args.replay:
         with open(args.replay, "w", encoding="utf-8") as handle:
             for failure in report.failures:
@@ -273,23 +265,16 @@ def cmd_gadget(args) -> int:
     model = embedding.gadget_model(args.m, args.b)
     formula_a = embedding.marker_formula_A(args.m, args.b)
     formula_b = embedding.marker_formula_B(args.m, args.b)
-    model_json = semantics.model_to_json(model)
     if args.out_model:
         semantics.save_model(model, args.out_model)
-    record = {
+    _emit(args, {
         "command": "gadget",
         "m": args.m,
         "b": args.b,
-        "model": json.loads(model_json),
+        "model": json.loads(semantics.model_to_json(model)),
         "A": print_formula(formula_a),
         "B": print_formula(formula_b),
-    }
-    text = "\n".join([
-        model_json,
-        f"A_{args.m}: {print_formula(formula_a)}",
-        f"B_{args.m}: {print_formula(formula_b)}",
-    ])
-    _emit(args, record, text)
+    })
     return 0
 
 

@@ -113,18 +113,9 @@ class KripkeModel:
 # Closures
 
 def rtc_matrix(pairs: Iterable[Pair], num_states: int) -> Relation:
-    """Reflexive-transitive closure by repeated squaring of the adjacency matrix,
-    held as one int mask per row: row i of the square is the OR of the rows
-    at the bits of row i."""
-    rows = [1 << s for s in range(num_states)]
-    for s, t in pairs:
-        rows[s] |= 1 << t
-    while True:
-        squared = [_image(rows, row) for row in rows]
-        if squared == rows:
-            break
-        rows = squared
-    return frozenset((s, t) for s, row in enumerate(rows) for t in _bits(row))
+    """Reflexive-transitive closure of a pair set: the evaluator's `*`
+    (Warshall) on its successor masks."""
+    return _pairs(_star(_rows(pairs, num_states)))
 
 
 def rtc_worklist(pairs: Iterable[Pair], num_states: int) -> Relation:
@@ -196,12 +187,21 @@ def _image(rows: list[int], mask: int) -> int:
     return reached
 
 
+def _rows(pairs: Iterable[Pair], num_states: int) -> list[int]:
+    """A relation as successor masks, one per source state."""
+    rows = [0] * num_states
+    for s, t in pairs:
+        rows[s] |= 1 << t
+    return rows
+
+
+def _pairs(rows: list[int]) -> Relation:
+    """The pairs of a relation held as successor masks."""
+    return frozenset((s, t) for s, row in enumerate(rows) for t in _bits(row))
+
+
 def _masks(model: KripkeModel) -> _Masks:
-    rows = {}
-    for atom, pairs in model.relations.items():
-        rows[atom] = row = [0] * model.num_states
-        for s, t in pairs:
-            row[s] |= 1 << t
+    rows = {atom: _rows(pairs, model.num_states) for atom, pairs in model.relations.items()}
     truth = {v: _mask(states) for v, states in model.valuation.items()}
     star = None if model.star is None else [(p, _mask(zs)) for p, zs in model.star.items()]
     return _Masks(model.num_states, rows, truth, star)
@@ -210,8 +210,7 @@ def _masks(model: KripkeModel) -> _Masks:
 def _model(masks: _Masks) -> KripkeModel:
     return KripkeModel(
         masks.num_states,
-        {a: {(s, t) for s, row in enumerate(rows) for t in _bits(row)}
-         for a, rows in masks.rows.items()},
+        {a: _pairs(rows) for a, rows in masks.rows.items()},
         {v: _bits(mask) for v, mask in masks.truth.items()},
         None if masks.star is None else {p: _bits(mask) for p, mask in masks.star},
     )
@@ -319,8 +318,7 @@ def _evaluate(model: KripkeModel, root: Formula | Program, dialect: Dialect) -> 
 
 def relation_of(model: KripkeModel, alpha: Program, dialect: Dialect) -> Relation:
     """Accessibility relation of a compound program term."""
-    rows = _evaluate(model, alpha, dialect)
-    return frozenset((s, t) for s, row in enumerate(rows) for t in _bits(row))
+    return _pairs(_evaluate(model, alpha, dialect))
 
 
 def truth_set(model: KripkeModel, phi: Formula, dialect: Dialect) -> frozenset[int]:
@@ -472,6 +470,12 @@ def model_from_json(text: str) -> KripkeModel:
             raise ModelError(f"expected a JSON integer, got {value!r}")
         return value
 
+    def entries(key: str):
+        table = obj.get(key, {})
+        if not isinstance(table, dict):
+            raise ModelError(f"'{key}' must be a JSON object")
+        return table.items()
+
     try:
         num_states = integer(obj["states"])
         if num_states > _MAX_JSON_STATES:
@@ -480,11 +484,11 @@ def model_from_json(text: str) -> KripkeModel:
             )
         relations = {
             parse_index(name, "a"): {(integer(s), integer(t)) for s, t in pairs}
-            for name, pairs in obj.get("relations", {}).items()
+            for name, pairs in entries("relations")
         }
         valuation = {
             parse_index(name, "p"): {integer(s) for s in states}
-            for name, states in obj.get("valuation", {}).items()
+            for name, states in entries("valuation")
         }
         star = None
         if "star" in obj:

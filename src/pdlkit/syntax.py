@@ -529,12 +529,17 @@ def parse_program(text: str, dialect: Dialect) -> Program:
 
 
 def parse_formula_lines(text: str, dialect: Dialect) -> list[Formula]:
-    """Parse one formula per line; blank lines and '#' comments are skipped."""
+    """Parse one formula per line; blank lines and '#' comments are skipped.
+    An error names its 1-based line, and its position counts within that line."""
     formulas = []
-    for line in text.splitlines():
-        stripped = line.split("#", 1)[0].strip()
-        if stripped:
-            formulas.append(parse_formula(stripped, dialect))
+    for number, line in enumerate(text.splitlines(), 1):
+        source = line.split("#", 1)[0]
+        if source.strip():
+            try:
+                formulas.append(parse_formula(source, dialect))
+            except (ParseError, DialectError) as err:
+                err.args = (f"line {number}: {err}",)
+                raise
     return formulas
 
 

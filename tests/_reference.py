@@ -3,9 +3,10 @@ frozenset fold that pdlkit.semantics used before its bitset evaluator, and
 the set-decoding enumerate_models that preceded its mask enumerator.
 
 Truth sets are frozensets of states and relations frozensets of pairs;
-`*` is the squaring closure rtc_matrix and `||` scans every pair of star
-entries. Models are decoded from one tuple of bits each. Both are slow and
-plain, and the fast code must agree with them on every input.
+`*` is the naive pair fixpoint rtc_worklist, which shares no code with
+the evaluator's closure, and `||` scans every pair of star entries. Models
+are decoded from one tuple of bits each. Both are slow and plain, and the
+fast code must agree with them on every input.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pdlkit.semantics import (
     ModelError,
     Pair,
     Relation,
-    rtc_matrix,
+    rtc_worklist,
 )
 from pdlkit.syntax import (
     Atomic,
@@ -79,7 +80,7 @@ def _evaluate(model: KripkeModel, root: Formula | Program):
             case Par():
                 return _par(model, *results)
             case Star():
-                return rtc_matrix(results[0], model.num_states)
+                return rtc_worklist(results[0], model.num_states)
 
     return fold(root, visit)
 

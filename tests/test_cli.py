@@ -7,7 +7,7 @@ import json
 import pytest
 
 from pdlkit import decision, embedding, fuzzing
-from pdlkit.cli import main
+from pdlkit.cli import _text, main
 from pdlkit.semantics import KripkeModel, check, load_model, save_model
 from pdlkit.syntax import Dialect, metrics, parse_formula
 
@@ -64,6 +64,14 @@ def test_formula_file_without_formulas_is_an_input_error(tmp_path, capsys):
     assert err == f"error: no formulas in {source}\n"
 
 
+def test_formula_file_errors_name_the_line(tmp_path, capsys):
+    source = tmp_path / "formulas.txt"
+    source.write_text("p1\n[a1]p1 &\n")
+    code, out, err = run(capsys, "translate", "--dialect", "pdl", "--file", str(source))
+    assert (code, out) == (2, "")
+    assert err == "error: line 2: expected a formula, found 'end of input' (at position 8)\n"
+
+
 def test_check_command(tmp_path, capsys):
     path = tmp_path / "model.json"
     save_model(KripkeModel(2, {1: {(0, 1)}}, {1: {1}}), path)
@@ -109,6 +117,15 @@ def test_check_error_paths(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "at most 10000 states" in err
     assert "Traceback" not in err
+    listed = tmp_path / "listed.json"
+    listed.write_text('{"states": 2, "relations": []}')
+    code, out, err = run(
+        capsys, "check", "--dialect", "pdl", "--model", str(listed),
+        "--state", "0", "p1",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "'relations' must be a JSON object" in err
+    assert "Traceback" not in err
 
 
 def test_sat_complete_default_for_pdl(capsys):
@@ -142,12 +159,6 @@ def test_sat_bounded_backend(tmp_path, capsys):
 def test_sat_usage_errors(capsys):
     code, _, err = run(capsys, "sat", "--dialect", "ipdl", "p1")
     assert code == 2 and "--bounded" in err
-    code, _, err = run(capsys, "sat", "--dialect", "prspdl", "--complete", "p1")
-    assert code == 2 and "no complete back-end" in err
-    code, _, err = run(
-        capsys, "sat", "--dialect", "pdl", "--complete", "--bounded", "2", "p1"
-    )
-    assert code == 2 and "mutually exclusive" in err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -169,6 +180,29 @@ def test_out_of_range_search_bounds_are_input_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("translate", "--dialect", "pdl", "--file", "{formulas}"),
+    ("translate", "--dialect", "prspdl", "[a1 || r2]p1", "--emit-hat"),
+    ("check", "--dialect", "pdl", "--model", "{model}", "--state", "1", "--file", "{formulas}"),
+    ("sat", "--dialect", "pdl", "--file", "{formulas}"),
+    ("sat", "--dialect", "ipdl", "--bounded", "2", "<a1 & a2>p1"),
+    ("sat", "--dialect", "prspdl", "--bounded", "1", "p1 & ~p1"),
+    ("equisat-fuzz", "--dialect", "pdl", "--count", "3", "--seed", "3"),
+    ("equisat-fuzz", "--dialect", "ipdl", "--count", "2", "--seed", "1"),
+    ("gadget", "3", "2"),
+])
+def test_text_output_is_rendered_from_the_record(tmp_path, capsys, argv):
+    model, formulas = tmp_path / "model.json", tmp_path / "formulas.txt"
+    save_model(KripkeModel(3, {1: {(0, 1), (1, 2)}}, {1: {2}}), model)
+    formulas.write_text("p1\n[a1]p1 -> <a1*>p2\n<a1>true & [a1]false\n")
+    argv = [arg.format(model=model, formulas=formulas) for arg in argv]
+    code, text, _ = run(capsys, *argv)
+    lines_code, lines, _ = run(capsys, *argv, "--format", "lines")
+    assert code == lines_code == 0
+    records = [json.loads(line) for line in lines.splitlines()]
+    assert text == "".join(_text(record) + "\n" for record in records)
 
 
 def test_equisat_fuzz_lines(capsys):

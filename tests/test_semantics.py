@@ -98,6 +98,17 @@ def test_closure_small_examples():
     }
 
 
+@pytest.mark.parametrize("num_states", [20, 30, 40])
+@pytest.mark.parametrize("edge_probability", [0.02, 0.05, 0.1])
+def test_star_matches_naive_closure(num_states, edge_probability):
+    # from scattered edges through long chains to one strongly connected mass
+    seed = num_states * 1000 + round(edge_probability * 100)
+    model = random_model(num_states, (1, 2), (), edge_probability, seed)
+    for a in (1, 2):
+        expected = rtc_worklist(model.relations.get(a, ()), num_states)
+        assert relation_of(model, Star(Atomic(a)), Dialect.PDL) == expected
+
+
 def test_gadget_relation_is_the_closure_of_its_edges():
     for m in range(1, 7):
         base = {(0, 1), (1, 1), (0, 2)} | {(j, j + 1) for j in range(2, m + 1)}
@@ -324,6 +335,10 @@ def test_json_rejects_malformed_input():
         '{"states": 2, "star": [[0.0, 1, [1]]]}',
         '{"states": 10001}',
         '{"states": 1000000000, "relations": {"a1": [[0, 999999999]]}}',
+        '{"states": 2, "relations": []}',
+        '{"states": 2, "relations": null}',
+        '{"states": 2, "valuation": "p1"}',
+        '{"states": 2, "valuation": [[1]]}',
     ):
         with pytest.raises(ModelError):
             model_from_json(text)

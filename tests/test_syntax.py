@@ -177,6 +177,19 @@ def test_parse_formula_lines():
     assert parse_formula_lines(text, PDL) == [Var(1), Box(Atomic(1), Var(2))]
 
 
+def test_parse_formula_lines_errors_name_the_line():
+    with pytest.raises(ParseError) as err:
+        parse_formula_lines("p1\n[a1]p1 &\n", PDL)
+    assert str(err.value) == "line 2: expected a formula, found 'end of input' (at position 8)"
+    assert err.value.position == 8
+    with pytest.raises(ParseError) as err:
+        parse_formula_lines("# comment\n\n  p1 ->  # trailing\n", PDL)
+    assert str(err.value).startswith("line 3: ") and err.value.position == 9
+    with pytest.raises(DialectError) as err:
+        parse_formula_lines("p1\np2\n[a1 || a2]p1\n", PDL)
+    assert str(err.value).startswith("line 3: parallel composition")
+
+
 # --- random ASTs for property tests ---
 
 
