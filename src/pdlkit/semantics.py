@@ -114,7 +114,8 @@ class KripkeModel:
 
 def rtc_matrix(pairs: Iterable[Pair], num_states: int) -> Relation:
     """Reflexive-transitive closure of a pair set: the evaluator's `*`
-    (Warshall) on its successor masks."""
+    (_star: components by depth-first search, Warshall below 20 states) on
+    its successor masks."""
     return _pairs(_star(_rows(pairs, num_states)))
 
 
@@ -200,11 +201,19 @@ def _pairs(rows: list[int]) -> Relation:
     return frozenset((s, t) for s, row in enumerate(rows) for t in _bits(row))
 
 
-def _masks(model: KripkeModel) -> _Masks:
-    rows = {atom: _rows(pairs, model.num_states) for atom, pairs in model.relations.items()}
-    truth = {v: _mask(states) for v, states in model.valuation.items()}
-    star = None if model.star is None else [(p, _mask(zs)) for p, zs in model.star.items()]
-    return _Masks(model.num_states, rows, truth, star)
+def _masks(model: KripkeModel, plan: list[tuple[object, list[int]]]) -> _Masks:
+    """The model's mask view, holding only the atoms and variables the plan
+    names, and the star entries only when it has a Special or ||."""
+    n, rows, truth, star = model.num_states, {}, {}, None
+    for node, _ in plan:
+        kind = type(node)
+        if kind is Atomic and node.index in model.relations and node.index not in rows:
+            rows[node.index] = _rows(model.relations[node.index], n)
+        elif kind is Var and node.index in model.valuation and node.index not in truth:
+            truth[node.index] = _mask(model.valuation[node.index])
+        elif (kind is Special or kind is Par) and star is None and model.star is not None:
+            star = [(p, _mask(zs)) for p, zs in model.star.items()]
+    return _Masks(n, rows, truth, star)
 
 
 def _model(masks: _Masks) -> KripkeModel:
@@ -256,18 +265,88 @@ def _par(masks: _Masks, left: list[int], right: list[int]) -> list[int]:
     return rows
 
 
+# Below this many states Warshall's n² steps cost less than the component
+# search's bookkeeping (the crossover measured on the benchmark's stars).
+_SCC_MIN_STATES = 20
+
+
 def _star(rows: list[int]) -> list[int]:
-    """Reflexive-transitive closure of successor masks (Warshall)."""
-    rows = [row | 1 << s for s, row in enumerate(rows)]
-    # rows is updated in place, so `through` is row k after rounds 0..k-1
-    for k, through in enumerate(rows):
-        bit = 1 << k
-        if through == bit:  # k reaches only itself
+    """Reflexive-transitive closure of successor masks.
+
+    From _SCC_MIN_STATES states on, an iterative depth-first search finds
+    the strongly connected components by Gabow's path-based method (IPL
+    2000; the cycle merging of Purdom, BIT 1970) and closes each as it
+    finishes, sinks first: a component reaches its members and the
+    closures of the components its members' rows enter. Smaller relations
+    take a Warshall pass.
+    """
+    n = len(rows)
+    if n < _SCC_MIN_STATES:
+        rows = [row | 1 << s for s, row in enumerate(rows)]
+        # rows is updated in place, so `through` is row k after rounds 0..k-1
+        for k, through in enumerate(rows):
+            bit = 1 << k
+            if through == bit:  # k reaches only itself
+                continue
+            for i, row in enumerate(rows):
+                if row & bit:
+                    rows[i] = row | through
+        return rows
+    closure = [0] * n
+    pending = [0] * n  # successors not yet visited when their source was
+    visited = opened = 0  # opened: visited, component not yet closed
+    for root in range(n):
+        if visited >> root & 1:
             continue
-        for i, row in enumerate(rows):
-            if row & bit:
-                rows[i] = row | through
-    return rows
+        path = [root]
+        # the open groups along the path, deepest last: their first state,
+        # their states and the OR of their rows
+        firsts, groups, outs = [root], [1 << root], [rows[root]]
+        visited |= 1 << root
+        opened |= 1 << root
+        pending[root] = rows[root] & ~visited
+        while path:
+            v = path[-1]
+            rest = pending[v] & ~visited
+            if rest:
+                bit = rest & -rest
+                pending[v] = rest ^ bit
+                w = bit.bit_length() - 1
+                row = rows[w]
+                visited |= bit
+                opened |= bit
+                pending[w] = row & ~visited
+                path.append(w)
+                firsts.append(w)
+                groups.append(bit)
+                outs.append(row)
+                # an edge back into an open group closes a cycle through
+                # every group above it on the path: merge them
+                back = row & opened
+                while back & ~groups[-1]:
+                    firsts.pop()
+                    members, out = groups.pop(), outs.pop()
+                    groups[-1] |= members
+                    outs[-1] |= out
+                continue
+            path.pop()
+            if firsts[-1] != v:
+                continue
+            # v's group is a component, and every component it enters is closed
+            firsts.pop()
+            members = groups.pop()
+            out = outs.pop() & ~members
+            reach = members
+            while out:
+                bit = out & -out
+                reach |= closure[bit.bit_length() - 1]
+                out = (out ^ bit) & ~reach
+            opened ^= members
+            while members:
+                bit = members & -members
+                closure[bit.bit_length() - 1] = reach
+                members ^= bit
+    return closure
 
 
 def _run(plan: list[tuple[object, list[int]]], masks: _Masks) -> int | list[int]:
@@ -313,7 +392,8 @@ def _run(plan: list[tuple[object, list[int]]], masks: _Masks) -> int | list[int]
 
 def _evaluate(model: KripkeModel, root: Formula | Program, dialect: Dialect) -> int | list[int]:
     validate(root, dialect)
-    return _run(_plan(root), _masks(model))
+    plan = _plan(root)
+    return _run(plan, _masks(model, plan))
 
 
 def relation_of(model: KripkeModel, alpha: Program, dialect: Dialect) -> Relation:
@@ -492,7 +572,12 @@ def model_from_json(text: str) -> KripkeModel:
         }
         star = None
         if "star" in obj:
-            star = {(integer(x), integer(y)): {integer(z) for z in zs} for x, y, zs in obj["star"]}
+            table = obj["star"]
+            if not isinstance(table, list) or not all(
+                isinstance(e, list) and len(e) == 3 and isinstance(e[2], list) for e in table
+            ):
+                raise ModelError("'star' must be a list of [x, y, [states]] triples")
+            star = {(integer(x), integer(y)): {integer(z) for z in zs} for x, y, zs in table}
         return KripkeModel(num_states, relations, valuation, star)
     except (TypeError, ValueError, KeyError) as err:
         if isinstance(err, ModelError):

@@ -126,6 +126,15 @@ def test_check_error_paths(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "'relations' must be a JSON object" in err
     assert "Traceback" not in err
+    starless = tmp_path / "starless.json"
+    starless.write_text('{"states": 2, "star": null}')
+    code, out, err = run(
+        capsys, "check", "--dialect", "prspdl", "--model", str(starless),
+        "--state", "0", "p1",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "'star' must be a list" in err
+    assert "Traceback" not in err
 
 
 def test_sat_complete_default_for_pdl(capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pdlkit
+from pdlkit import semantics
 from pdlkit.embedding import gadget_model
 from pdlkit.semantics import (
     EnumerationLimitError,
@@ -107,6 +109,56 @@ def test_star_matches_naive_closure(num_states, edge_probability):
     for a in (1, 2):
         expected = rtc_worklist(model.relations.get(a, ()), num_states)
         assert relation_of(model, Star(Atomic(a)), Dialect.PDL) == expected
+
+
+def _closure_shape(shape: str, n: int) -> set[tuple[int, int]]:
+    """Edges of a closure shape that random relations rarely produce, over n
+    states renamed by a seeded permutation, so that the depth-first search
+    meets each component at no particular member first."""
+    if shape == "dag of cycles":
+        # cycles of four; cycle k leaves from its member k % 4 into the next
+        # cycle, and from another member two cycles ahead
+        cycles = [list(range(i, min(i + 4, n))) for i in range(0, n, 4)]
+        edges = {(c[j], c[(j + 1) % len(c)]) for c in cycles for j in range(len(c))}
+        for k, c in enumerate(cycles[:-1]):
+            edges.add((c[k % len(c)], cycles[k + 1][0]))
+            if k + 2 < len(cycles):
+                edges.add((c[(k + 2) % len(c)], cycles[k + 2][-1]))
+    elif shape == "self-loops only":
+        edges = {(s, s) for s in range(0, n, 2)}
+    elif shape == "chain with one back edge":
+        edges = {(s, s + 1) for s in range(n - 1)} | {(n - 1, n // 2)}
+    else:  # components that reach one shared sink, state 0
+        edges = set()
+        for start in range(1, n, 3):
+            group = list(range(start, min(start + 3, n)))
+            edges |= {(group[j], group[(j + 1) % len(group)]) for j in range(len(group))}
+            edges.add((group[-1], 0))
+    order = list(range(n))
+    random.Random(n).shuffle(order)
+    return {(order[s], order[t]) for s, t in edges}
+
+
+# one size below the component search's threshold (the Warshall pass) and
+# one above it
+@pytest.mark.parametrize("num_states", [semantics._SCC_MIN_STATES - 1, 40])
+@pytest.mark.parametrize("shape", [
+    "dag of cycles", "self-loops only", "chain with one back edge", "shared sink",
+])
+def test_star_closure_shapes(shape, num_states):
+    edges = _closure_shape(shape, num_states)
+    model = KripkeModel(num_states, {1: edges})
+    expected = rtc_worklist(edges, num_states)
+    assert relation_of(model, Star(Atomic(1)), Dialect.PDL) == expected
+
+
+def test_star_on_a_long_chain():
+    # 25 M steps for an n² pass; the component search takes one per edge,
+    # without recursion
+    n = 5000
+    model = KripkeModel(n, {1: {(s, s + 1) for s in range(n - 1)}}, {1: {n - 1}})
+    phi = diamond(Star(Atomic(1)), Var(1))
+    assert truth_set(model, phi, Dialect.PDL) == frozenset(range(n))
 
 
 def test_gadget_relation_is_the_closure_of_its_edges():
@@ -342,6 +394,9 @@ def test_json_rejects_malformed_input():
     ):
         with pytest.raises(ModelError):
             model_from_json(text)
+    for star in ('null', '{"x": 1}', '[[0, 0]]', '[[0, 0, 5]]'):
+        with pytest.raises(ModelError, match="'star' must be a list of"):
+            model_from_json(f'{{"states": 2, "star": {star}}}')
     assert model_from_json('{"states": 10000}').num_states == 10000
 
 
