@@ -9,18 +9,21 @@ pdl_sat decides regular PDL (no tests) by type elimination over the
 Fischer-Ladner closure (Pratt, FOCS 1979), on two tables. The saturation
 table gives each signed closure literal one rule: add all its parts, or
 branch over them; a false member's rule is the dual of its true one.
-Types are the saturated signed sets, built only as reached from the goal
+Types are the saturated signed sets, each an int with bit lit set for
+every signed literal lit in it, built only as reached from the goal
 formula's own saturation by modal demands, not all exponentially many
 subsets of the closure. The demand table lists, per type, each negated
 member with the (type, member) pairs that fulfil it: the successor types
 of a box [a]psi paired with psi, the unfolds of a composite box negated
 in the same type, none for a member that is not a box. Elimination reads
-only the demand table: a least fixpoint over (type, member) pairs finds
+only the demand table and its reverse index, from each pair to the
+demands that list it. Each round, one breadth-first pass from the
+demands that are not boxes finds, layer by layer, the least fixpoint:
 the demands that bottom out through alive types in finitely many steps,
-which star demands must, and each round deletes the types with a demand
-left over, until none is. A surviving goal type yields a witness model,
-one successor per modal demand, that is verified by the model checker
-before the verdict is returned.
+which star demands must. A type with fewer fulfilled demands than
+demands is deleted, and rounds go on until none is. A surviving goal
+type yields a witness model, one successor per modal demand, that is
+verified by the model checker before the verdict is returned.
 """
 
 from __future__ import annotations
@@ -210,67 +213,68 @@ def fl_closure(phi: Formula) -> frozenset[Formula]:
 
 def _saturate(
     seed: Iterable[int], expand: list[tuple[bool, tuple[int, ...]]]
-) -> list[frozenset[int]]:
-    """All consistent saturations of the signed seed, deduplicated.
+) -> list[int]:
+    """All consistent saturations of the signed seed, deduplicated, each
+    a type: an int with bit lit set for every literal lit in it.
 
-    Decomposed literals stay in the set, so a finished type records the
+    Decomposed literals stay in the type, so a finished type records the
     polarity of everything processed and contradictions surface as a
     lit/complement clash.
     """
-    results: list[frozenset[int]] = []
-    emitted: set[frozenset[int]] = set()
-    stack: list[tuple[set[int], list[int]]] = [(set(), list(seed))]
+    results: list[int] = []
+    emitted: set[int] = set()
+    stack: list[tuple[int, list[int]]] = [(0, list(seed))]
     while stack:
         assigned, pending = stack.pop()
         while pending:
             lit = pending.pop()
-            if lit in assigned:
+            if assigned >> lit & 1:
                 continue
-            if lit ^ 1 in assigned:
+            if assigned >> (lit ^ 1) & 1:
                 break
-            assigned.add(lit)
+            assigned |= 1 << lit
             branch, parts = expand[lit]
             if branch:
-                stack.extend((set(assigned), pending + [part]) for part in parts)
+                stack.extend((assigned, pending + [part]) for part in parts)
                 break
             pending.extend(parts)
         else:
-            node = frozenset(assigned)
-            if node not in emitted:
-                emitted.add(node)
-                results.append(node)
+            if assigned not in emitted:
+                emitted.add(assigned)
+                results.append(assigned)
     return results
 
 
-# A type's demands: each member negated in it, with the (type, member)
-# pairs whose fulfilment fulfils it, or None when it is not a box.
-_Demands = dict[int, Optional[tuple[tuple[int, int], ...]]]
+# A type's demands: each member negated in it, in increasing order, with
+# the (type, member) pairs whose fulfilment fulfils it, or None when it is
+# not a box. A pair (t, j) is held as the int t * width + j, width being
+# the closure's size.
+_Demands = dict[int, Optional[tuple[int, ...]]]
 
 
-def _fulfilled_pairs(demands: list[_Demands], alive: set[int]) -> dict[tuple[int, int], int]:
-    """Least fixpoint of demand fulfilment over (type, member) pairs.
+def _fulfilled_pairs(
+    trivial: list[list[int]], users: dict[int, list[int]], alive: set[int], width: int
+) -> dict[int, int]:
+    """Least fixpoint of demand fulfilment over the pairs of alive types,
+    breadth first, each pair mapped to its layer.
 
-    A demand that is not a box is fulfilled in round 0; a box demand in
-    the first round after one of its alternatives is, which only pairs of
-    alive types can be. The round is kept to pick shortest-witness
-    successors.
+    A demand that is not a box (listed per type in trivial) is in layer 0;
+    a box demand is in the layer after its first fulfilled alternative's,
+    users mapping each pair to the demands that list it. The layer is kept
+    to pick shortest-witness successors.
     """
-    fulfilled = {
-        (nid, i): 0
-        for nid in alive
-        for i, alternatives in demands[nid].items()
-        if alternatives is None
-    }
-    rounds = 0
-    changed = True
-    while changed:
-        changed = False
-        rounds += 1
-        for nid in alive:
-            for i, alternatives in demands[nid].items():
-                if (nid, i) not in fulfilled and any(p in fulfilled for p in alternatives):
-                    fulfilled[(nid, i)] = rounds
-                    changed = True
+    layer = [pair for nid in alive for pair in trivial[nid]]
+    fulfilled = dict.fromkeys(layer, 0)
+    rank = 0
+    while layer:
+        rank += 1
+        following = []
+        for pair in layer:
+            for user in users.get(pair, ()):
+                if user not in fulfilled and user // width in alive:
+                    fulfilled[user] = rank
+                    following.append(user)
+        layer = following
     return fulfilled
 
 
@@ -279,16 +283,17 @@ def pdl_sat(phi: Formula, max_nodes: int = 100000) -> SatResult:
     validate(phi, Dialect.PDL)
     closure = _closure_list(phi)
 
-    nodes: list[frozenset[int]] = []
-    node_ids: dict[frozenset[int], int] = {}
-    seed_cache: dict[frozenset[int], tuple[int, ...]] = {}
+    nodes: list[int] = []
+    node_ids: dict[int, int] = {}
+    seed_cache: dict[int, tuple[int, ...]] = {}
 
-    def successors(seed: list[int]) -> tuple[int, ...]:
-        """Ids of the saturations of seed; new types are numbered on first sight."""
-        key = frozenset(seed)
+    def successors(bodies: int, lit: int) -> tuple[int, ...]:
+        """Ids of the saturations of the literals in bodies, then lit; new
+        types are numbered on first sight."""
+        key = bodies | 1 << lit
         if key not in seed_cache:
             ids = []
-            for node in _saturate(seed, closure.expand):
+            for node in _saturate([*semantics._bits(bodies), lit], closure.expand):
                 nid = node_ids.setdefault(node, len(nodes))
                 if nid == len(nodes):
                     if nid >= max_nodes:
@@ -298,30 +303,51 @@ def pdl_sat(phi: Formula, max_nodes: int = 100000) -> SatResult:
             seed_cache[key] = tuple(ids)
         return seed_cache[key]
 
-    root_ids = successors([0])  # phi is member 0
+    width = len(closure.members)
+    true_boxes = semantics._mask(2 * i for i in closure.modal)
+    negated = semantics._mask(2 * i + 1 for i in range(width))
+    root_ids = successors(0, 0)  # phi is member 0
     demands: list[_Demands] = []
+    trivial: list[list[int]] = []
+    users: dict[int, list[int]] = {}
     while len(demands) < len(nodes):
         nid = len(demands)
         node = nodes[nid]
-        # fulfilment visits demands in the type's own order, successors are
-        # numbered in member order
-        demand: _Demands = dict.fromkeys(lit >> 1 for lit in node if lit & 1)
-        boxes = [
-            closure.modal[lit >> 1] for lit in node if not lit & 1 and lit >> 1 in closure.modal
-        ]
-        for i in sorted(demand):
+        base = nid * width
+        # per atom, the bodies of its boxes true in the type, as true literals
+        bodies: dict[int, int] = {}
+        for lit in semantics._bits(node & true_boxes):
+            atom, body = closure.modal[lit >> 1]
+            bodies[atom] = bodies.get(atom, 0) | 1 << 2 * body
+        demand: _Demands = dict.fromkeys(lit >> 1 for lit in semantics._bits(node & negated))
+        plain = []
+        # successors are numbered in member order
+        for i in demand:
             if i in closure.modal:
                 atom, body = closure.modal[i]
-                seed = sorted(2 * psi for a, psi in boxes if a == atom) + [2 * body + 1]
-                demand[i] = tuple((m, body) for m in successors(seed))
+                alternatives = tuple(
+                    m * width + body for m in successors(bodies.get(atom, 0), 2 * body + 1)
+                )
             elif i in closure.unfolds:
-                demand[i] = tuple((nid, u) for u in closure.unfolds[i] if 2 * u + 1 in node)
+                alternatives = tuple(
+                    base + u for u in closure.unfolds[i] if node >> (2 * u + 1) & 1
+                )
+            else:
+                plain.append(base + i)
+                continue
+            demand[i] = alternatives
+            for pair in alternatives:
+                users.setdefault(pair, []).append(base + i)
         demands.append(demand)
+        trivial.append(plain)
 
     alive = set(range(len(nodes)))
     while True:
-        fulfilled = _fulfilled_pairs(demands, alive)
-        dead = {nid for nid in alive if any((nid, i) not in fulfilled for i in demands[nid])}
+        fulfilled = _fulfilled_pairs(trivial, users, alive, width)
+        done = [0] * len(nodes)
+        for pair in fulfilled:
+            done[pair // width] += 1
+        dead = {nid for nid in alive if done[nid] < len(demands[nid])}
         if not dead:
             break
         alive -= dead
@@ -330,26 +356,29 @@ def pdl_sat(phi: Formula, max_nodes: int = 100000) -> SatResult:
     if not surviving:
         return SatResult(Verdict.UNSATISFIABLE)
     return SatResult(Verdict.SATISFIABLE, _extract_witness(
-        phi, surviving[0], nodes, closure, demands, fulfilled))
+        phi, surviving[0], nodes, closure, demands, fulfilled, width))
 
 
 def _extract_witness(
     phi: Formula,
     root: int,
-    nodes: list[frozenset[int]],
+    nodes: list[int],
     closure: _Closure,
     demands: list[_Demands],
-    fulfilled: dict[tuple[int, int], int],
+    fulfilled: dict[int, int],
+    width: int,
 ) -> Witness:
     """Model over the demand-reachable surviving types, one successor per
-    modal demand, chosen to fulfil star demands in the fewest rounds."""
+    modal demand, chosen to fulfil star demands in the fewest layers."""
     state_of = {root: 0}
     order = [root]  # grows while it is walked
     relations: dict[int, set[tuple[int, int]]] = {}
     for nid in order:
-        for i in sorted(demands[nid]):
+        for i in demands[nid]:
             if i in closure.modal:
-                _, target = min((fulfilled[p], p[0]) for p in demands[nid][i] if p in fulfilled)
+                _, target = min(
+                    (fulfilled[p], p // width) for p in demands[nid][i] if p in fulfilled
+                )
                 if target not in state_of:
                     state_of[target] = len(order)
                     order.append(target)
@@ -357,7 +386,7 @@ def _extract_witness(
                     (state_of[nid], state_of[target]))
     valuation: dict[int, set[int]] = {}
     for nid, state in state_of.items():
-        for lit in nodes[nid]:
+        for lit in semantics._bits(nodes[nid]):
             if not lit & 1 and lit >> 1 in closure.variables:
                 valuation.setdefault(closure.variables[lit >> 1], set()).add(state)
     model = KripkeModel(len(state_of), relations, valuation)

@@ -537,6 +537,9 @@ def model_from_json(text: str) -> KripkeModel:
         obj = json.loads(text)
     except json.JSONDecodeError as err:
         raise ModelError(f"malformed model JSON: {err}") from None
+    except RecursionError:
+        # the decoder recurses once per nested array or object
+        raise ModelError("malformed model JSON: nested too deeply") from None
     if not isinstance(obj, dict) or "states" not in obj:
         raise ModelError("model JSON must be an object with a 'states' field")
     def parse_index(name: str, prefix: str) -> int:

@@ -14,6 +14,7 @@ The printer re-sugars exactly negation, verum, and diamond.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -51,117 +52,225 @@ class DialectError(ValueError):
 class Formula:
     """Base class for formula nodes."""
 
+    __slots__ = ()
+
 
 class Program:
     """Base class for program nodes."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Var(Formula):
+
+# ---------------------------------------------------------------------------
+# Nodes
+#
+# Every node is hash-consed (Filliatre & Conchon, "Type-safe modular
+# hash-consing", 2006). A constructor returns the live node of its class
+# with the same leaf value, or with the same child objects, when there is
+# one, and builds and enters a new node otherwise. Children are interned
+# before their parent, so structurally equal terms are one object: == is
+# identity and hash is the identity's hash, object's own, and neither
+# walks the term. The table holds weak references, each of which removes
+# its entry when its node dies, so it keeps no node alive; a child's id in
+# a key stays valid because the node under that key holds the child.
+
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+
+_table: dict[tuple, _Ref] = {}
+
+
+def _forget(ref: _Ref, table: dict = _table) -> None:
+    # a newer node may already be entered under the key
+    if table.get(ref.key) is ref:
+        del table[ref.key]
+
+
+def _enter(key: tuple, node):
+    """Enter a newly built node under key; the node entered under it."""
+    ref = _Ref(node, _forget)
+    ref.key = key
+    entered = _table.setdefault(key, ref)
+    if entered is not ref:
+        # another thread entered the key first, or its node died and the
+        # entry awaits its callback
+        found = entered()
+        if found is not None:
+            return found
+        _table[key] = ref
+    return node
+
+
+_set = object.__setattr__
+
+
+class _Node:
+    """Immutable interned node; __match_args__ names its fields in
+    constructor order."""
+
+    __slots__ = ("__weakref__",)
+    __match_args__: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the constructor, which
+        # returns the interned node
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+
+class _Leaf(_Node):
+    """A node holding one plain value, which _check vets."""
+
+    __slots__ = ()
+
+    def __new__(cls, value):
+        key = (cls, value)
+        ref = _table.get(key)
+        if ref is not None and (node := ref()) is not None:
+            return node
+        cls._check(value)
+        node = object.__new__(cls)
+        _set(node, cls.__match_args__[0], value)
+        return _enter(key, node)
+
+
+class _Unary(_Node):
+    """A node with one subterm."""
+
+    __slots__ = ()
+
+    def __new__(cls, inner):
+        key = (cls, id(inner))
+        ref = _table.get(key)
+        if ref is not None and (node := ref()) is not None:
+            return node
+        node = object.__new__(cls)
+        _set(node, cls.__match_args__[0], inner)
+        return _enter(key, node)
+
+
+class _Binary(_Node):
+    """A node with two subterms."""
+
+    __slots__ = ()
+
+    def __new__(cls, left, right):
+        key = (cls, id(left), id(right))
+        ref = _table.get(key)
+        if ref is not None and (node := ref()) is not None:
+            return node
+        node = object.__new__(cls)
+        first, second = cls.__match_args__
+        _set(node, first, left)
+        _set(node, second, right)
+        return _enter(key, node)
+
+
+class Var(_Leaf, Formula):
     """Propositional variable p<index>, index >= 1."""
 
-    index: int
+    __slots__ = __match_args__ = ("index",)
 
-    def __post_init__(self):
-        if self.index < 1:
-            raise ValueError(f"variable index must be >= 1, got {self.index}")
-
-
-@dataclass(frozen=True)
-class Falsum(Formula):
-    """The constant false."""
+    @staticmethod
+    def _check(index):
+        if index < 1:
+            raise ValueError(f"variable index must be >= 1, got {index}")
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
+class Falsum(_Node, Formula):
+    """The constant false; FALSUM is its one node."""
+
+    __slots__ = ()
+
+    def __new__(cls):
+        return FALSUM
+
+
+class Implies(_Binary, Formula):
     """Material implication."""
 
-    left: Formula
-    right: Formula
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Box(Formula):
+class Box(_Binary, Formula):
     """[program] body."""
 
-    program: Program
-    body: Formula
+    __slots__ = __match_args__ = ("program", "body")
 
 
-@dataclass(frozen=True)
-class Atomic(Program):
+class Atomic(_Leaf, Program):
     """Atomic program a<index>, index >= 1."""
 
-    index: int
+    __slots__ = __match_args__ = ("index",)
 
-    def __post_init__(self):
-        if self.index < 1:
-            raise ValueError(f"atomic program index must be >= 1, got {self.index}")
+    @staticmethod
+    def _check(index):
+        if index < 1:
+            raise ValueError(f"atomic program index must be >= 1, got {index}")
 
 
 SPECIAL_KINDS = ("r1", "r2", "s1", "s2")
 
 
-@dataclass(frozen=True)
-class Special(Program):
+class Special(_Leaf, Program):
     """One of the four store-access programs r1, r2, s1, s2."""
 
-    kind: str
+    __slots__ = __match_args__ = ("kind",)
 
-    def __post_init__(self):
-        if self.kind not in SPECIAL_KINDS:
-            raise ValueError(f"special program must be one of {SPECIAL_KINDS}, got {self.kind!r}")
+    @staticmethod
+    def _check(kind):
+        if kind not in SPECIAL_KINDS:
+            raise ValueError(f"special program must be one of {SPECIAL_KINDS}, got {kind!r}")
 
 
-@dataclass(frozen=True)
-class Test(Program):
+class Test(_Unary, Program):
     """formula? -- identity on states satisfying the formula."""
 
     __test__ = False  # not a pytest class, despite the name
+    __slots__ = __match_args__ = ("formula",)
 
-    formula: Formula
 
-
-@dataclass(frozen=True)
-class Seq(Program):
+class Seq(_Binary, Program):
     """Sequential composition."""
 
-    left: Program
-    right: Program
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Choice(Program):
+class Choice(_Binary, Program):
     """Nondeterministic choice."""
 
-    left: Program
-    right: Program
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Inter(Program):
+class Inter(_Binary, Program):
     """Intersection of programs."""
 
-    left: Program
-    right: Program
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Par(Program):
+class Par(_Binary, Program):
     """Parallel composition."""
 
-    left: Program
-    right: Program
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Star(Program):
+class Star(_Unary, Program):
     """Reflexive-transitive iteration."""
 
-    inner: Program
+    __slots__ = __match_args__ = ("inner",)
 
 
-FALSUM = Falsum()
+FALSUM = _enter((Falsum,), object.__new__(Falsum))
 TOP = Implies(FALSUM, FALSUM)
 
 
@@ -218,11 +327,18 @@ def validate(root: Union[Formula, Program], dialect: Dialect) -> None:
     """Raise DialectError if a formula or program uses a program constructor
     outside the dialect."""
     allowed = _ALLOWED[dialect]
-    for node in iter_nodes(root):
+
+    def visit(node, results):
+        # the first offending node of the subterm in preorder, or None
         if isinstance(node, Program) and not isinstance(node, allowed):
-            raise DialectError(
-                f"{_PROGRAM_NAMES[type(node)]} is not available under {dialect.value.upper()}"
-            )
+            return node
+        return next(filter(None, results), None)
+
+    offending = fold(root, visit)
+    if offending is not None:
+        raise DialectError(
+            f"{_PROGRAM_NAMES[type(offending)]} is not available under {dialect.value.upper()}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +379,8 @@ def fold(root: Union[Formula, Program], visit):
     children in constructor order, and its value is the node's result.
 
     Children are visited left to right. Results are memoized by node
-    identity, so a subterm shared within the root is visited once.
+    identity, and nodes are interned, so every subterm that occurs more
+    than once within the root, wherever it was built, is visited once.
     """
     done: dict[int, object] = {}
     # An entry is (node, None) on the way down, (node, kids) on the way up;

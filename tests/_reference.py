@@ -1,12 +1,16 @@
-"""Reference model checker and model enumerator for the tests: the
-frozenset fold that pdlkit.semantics used before its bitset evaluator, and
-the set-decoding enumerate_models that preceded its mask enumerator.
+"""Reference model checker, model enumerator and type elimination for the
+tests: the frozenset fold that pdlkit.semantics used before its bitset
+evaluator, the set-decoding enumerate_models that preceded its mask
+enumerator, and the frozenset types and sweep-until-stable fulfilment
+that pdl_sat used before its int-mask types and breadth-first pass.
 
 Truth sets are frozensets of states and relations frozensets of pairs;
 `*` is the naive pair fixpoint rtc_worklist, which shares no code with
 the evaluator's closure, and `||` scans every pair of star entries. Models
-are decoded from one tuple of bits each. Both are slow and plain, and the
-fast code must agree with them on every input.
+are decoded from one tuple of bits each. Types are frozensets of signed
+literals, and fulfilment rescans every alive type until nothing changes.
+All are slow and plain, and the fast code must agree with them on every
+input.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Optional
 
+from pdlkit.decision import CapacityError, Verdict, _closure_list
 from pdlkit.semantics import (
     EnumerationLimitError,
     KripkeModel,
@@ -165,3 +170,121 @@ def enumerate_models(
                     star.setdefault(p, set()).add(z)
                 i += 1
         yield KripkeModel(num_states, relations, valuation, star)
+
+
+def _saturate(
+    seed: Iterable[int], expand: list[tuple[bool, tuple[int, ...]]]
+) -> list[frozenset[int]]:
+    """All consistent saturations of the signed seed, deduplicated.
+
+    Decomposed literals stay in the set, so a finished type records the
+    polarity of everything processed and contradictions surface as a
+    lit/complement clash.
+    """
+    results: list[frozenset[int]] = []
+    emitted: set[frozenset[int]] = set()
+    stack: list[tuple[set[int], list[int]]] = [(set(), list(seed))]
+    while stack:
+        assigned, pending = stack.pop()
+        while pending:
+            lit = pending.pop()
+            if lit in assigned:
+                continue
+            if lit ^ 1 in assigned:
+                break
+            assigned.add(lit)
+            branch, parts = expand[lit]
+            if branch:
+                stack.extend((set(assigned), pending + [part]) for part in parts)
+                break
+            pending.extend(parts)
+        else:
+            node = frozenset(assigned)
+            if node not in emitted:
+                emitted.add(node)
+                results.append(node)
+    return results
+
+
+# A type's demands: each member negated in it, with the (type, member)
+# pairs whose fulfilment fulfils it, or None when it is not a box.
+_Demands = dict[int, Optional[tuple[tuple[int, int], ...]]]
+
+
+def _fulfilled_pairs(demands: list[_Demands], alive: set[int]) -> dict[tuple[int, int], int]:
+    """Least fixpoint of demand fulfilment over (type, member) pairs.
+
+    A demand that is not a box is fulfilled in round 0; a box demand in
+    the first round after one of its alternatives is, which only pairs of
+    alive types can be. The round is kept to pick shortest-witness
+    successors.
+    """
+    fulfilled = {
+        (nid, i): 0
+        for nid in alive
+        for i, alternatives in demands[nid].items()
+        if alternatives is None
+    }
+    rounds = 0
+    changed = True
+    while changed:
+        changed = False
+        rounds += 1
+        for nid in alive:
+            for i, alternatives in demands[nid].items():
+                if (nid, i) not in fulfilled and any(p in fulfilled for p in alternatives):
+                    fulfilled[(nid, i)] = rounds
+                    changed = True
+    return fulfilled
+
+
+def pdl_sat_verdict(phi: Formula, max_nodes: int = 100000) -> Verdict:
+    """pdl_sat's verdict by elimination over frozenset types, with the
+    closure and its saturation rules from pdlkit.decision."""
+    closure = _closure_list(phi)
+    nodes: list[frozenset[int]] = []
+    node_ids: dict[frozenset[int], int] = {}
+    seed_cache: dict[frozenset[int], tuple[int, ...]] = {}
+
+    def successors(seed: list[int]) -> tuple[int, ...]:
+        key = frozenset(seed)
+        if key not in seed_cache:
+            ids = []
+            for node in _saturate(seed, closure.expand):
+                nid = node_ids.setdefault(node, len(nodes))
+                if nid == len(nodes):
+                    if nid >= max_nodes:
+                        raise CapacityError(f"more than {max_nodes} types needed")
+                    nodes.append(node)
+                ids.append(nid)
+            seed_cache[key] = tuple(ids)
+        return seed_cache[key]
+
+    root_ids = successors([0])
+    demands: list[_Demands] = []
+    while len(demands) < len(nodes):
+        nid = len(demands)
+        node = nodes[nid]
+        demand: _Demands = dict.fromkeys(lit >> 1 for lit in node if lit & 1)
+        boxes = [
+            closure.modal[lit >> 1] for lit in node if not lit & 1 and lit >> 1 in closure.modal
+        ]
+        for i in sorted(demand):
+            if i in closure.modal:
+                atom, body = closure.modal[i]
+                seed = sorted(2 * psi for a, psi in boxes if a == atom) + [2 * body + 1]
+                demand[i] = tuple((m, body) for m in successors(seed))
+            elif i in closure.unfolds:
+                demand[i] = tuple((nid, u) for u in closure.unfolds[i] if 2 * u + 1 in node)
+        demands.append(demand)
+
+    alive = set(range(len(nodes)))
+    while True:
+        fulfilled = _fulfilled_pairs(demands, alive)
+        dead = {nid for nid in alive if any((nid, i) not in fulfilled for i in demands[nid])}
+        if not dead:
+            break
+        alive -= dead
+    if any(r in alive for r in root_ids):
+        return Verdict.SATISFIABLE
+    return Verdict.UNSATISFIABLE

@@ -16,6 +16,7 @@ from pdlkit.decision import (
     fl_closure,
     pdl_sat,
 )
+from pdlkit.embedding import embed
 from pdlkit.fuzzing import formula_corpus, random_formula
 from pdlkit.semantics import KripkeModel, check
 from pdlkit.syntax import (
@@ -208,6 +209,11 @@ def test_pdl_sat_star_conflicts():
     deferring = Box(Star(a), conj(neg(Var(1)), diamond(a, TOP)))
     assert pdl_sat(conj(eventually, deferring)).verdict is Verdict.UNSATISFIABLE
 
+    # a successor type deleted for its star demand fulfils no demand of
+    # its predecessor, though its own [a3]-demand is met
+    dead_end = parse_formula("~[a2][a3]false & [a2](<a1*>p1 & [a1*](~p1 & <a1>true))", PDL)
+    assert pdl_sat(dead_end).verdict is Verdict.UNSATISFIABLE
+
     assert pdl_sat(eventually).verdict is Verdict.SATISFIABLE
 
 
@@ -264,6 +270,36 @@ def test_pdl_sat_witnesses_verified_on_corpus():
         else:
             assert result.witness is None
     assert sat_count >= 30
+
+
+def _outcome(decide, formula, max_nodes):
+    try:
+        return decide(formula, max_nodes)
+    except CapacityError:
+        return CapacityError
+
+
+def test_pdl_sat_matches_reference_elimination():
+    # frozenset types and sweep-until-stable fulfilment give the same
+    # verdicts, on inputs and on their variable-free groundings, and run
+    # out of types at the same ceiling, since types are numbered alike
+    verdicts = []
+    capped = 0
+    for phi in formula_corpus(31, 300, PDL, max_size=10, max_vars=2, max_atoms=2):
+        for formula in (phi, embed(phi, PDL)):
+            result = pdl_sat(formula)
+            assert result.verdict is _reference.pdl_sat_verdict(formula)
+            if result.witness is not None:
+                w = result.witness
+                assert check(w.model, w.state, formula, PDL) is True
+            verdicts.append(result.verdict)
+            ceiling = _outcome(_reference.pdl_sat_verdict, formula, 60)
+            got = _outcome(pdl_sat, formula, 60)
+            assert (got if got is CapacityError else got.verdict) is ceiling
+            capped += ceiling is CapacityError
+    assert verdicts.count(Verdict.UNSATISFIABLE) >= 50
+    assert verdicts.count(Verdict.SATISFIABLE) >= 500
+    assert capped >= 200
 
 
 # --- properties ---

@@ -1,10 +1,9 @@
 """Parsing and structural walks on formulas 10,000 deep, at the default
 recursion limit.
 
-Equality and hashing of formula nodes still recurse, so nothing here
-compares two deep formulas with == or puts one in a set: parsed text is
-checked against a formula built with constructors through print_formula
-and metrics.
+Nodes are interned, so parsed text is checked against a formula built
+with constructors by identity; == and hash on deep chains are tested in
+test_syntax.
 """
 
 from __future__ import annotations
@@ -184,9 +183,7 @@ def grouped_program(depth):
 )
 def test_parse_deep_text(build):
     text, phi = build(DEPTH)
-    parsed = parse_formula(text, Dialect.PDL)
-    assert print_formula(parsed) == print_formula(phi)
-    assert metrics(parsed) == metrics(phi)
+    assert parse_formula(text, Dialect.PDL) is phi
 
 
 def test_parse_long_composition():

@@ -391,6 +391,8 @@ def test_json_rejects_malformed_input():
         '{"states": 2, "relations": null}',
         '{"states": 2, "valuation": "p1"}',
         '{"states": 2, "valuation": [[1]]}',
+        "[" * 100_000,
+        '{"states": 2, "relations": {"a1": ' + "[" * 100_000 + "]" * 100_000 + "}}",
     ):
         with pytest.raises(ModelError):
             model_from_json(text)

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import copy
+import gc
+import pickle
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdlkit import syntax
+from pdlkit.decision import Verdict, pdl_sat
 from pdlkit.syntax import (
     FALSUM,
     TOP,
@@ -15,10 +22,12 @@ from pdlkit.syntax import (
     Dialect,
     DialectError,
     Falsum,
+    Formula,
     Implies,
     Inter,
     Par,
     ParseError,
+    Program,
     Seq,
     Special,
     Star,
@@ -36,6 +45,7 @@ from pdlkit.syntax import (
     parse_program,
     print_formula,
     print_program,
+    rebuild,
     substitute,
     validate,
 )
@@ -124,6 +134,11 @@ def test_dialect_violations_name_construct():
         parse_formula("[a1 || a2]p1", IPDL)
     with pytest.raises(DialectError, match="store-access"):
         parse_formula("[r1]p1", IPDL)
+    # the first offending node in textual order is named
+    with pytest.raises(DialectError, match="intersection"):
+        parse_formula("[(p1?) & a1]p2", PDL)
+    with pytest.raises(DialectError, match="test"):
+        parse_formula("[p1?]p2 -> [a1 & a2]p2", PDL)
     validate(parse_formula("[a1 || r2]p1", PRSPDL), PRSPDL)
 
 
@@ -190,6 +205,97 @@ def test_parse_formula_lines_errors_name_the_line():
     assert str(err.value).startswith("line 3: parallel composition")
 
 
+# --- interning ---
+
+
+def test_equal_terms_are_one_node():
+    text = "[(a1;a2)*]p1 -> <a1 u a2>(p1 & ~p3)"
+    parsed = parse_formula(text, PDL)
+    built = Implies(
+        Box(Star(Seq(Atomic(1), Atomic(2))), Var(1)),
+        diamond(Choice(Atomic(1), Atomic(2)), conj(Var(1), neg(Var(3)))),
+    )
+    assert parsed is built
+    assert parse_formula(text, PDL) is parsed
+    # the shared subterm p1 is one node wherever it occurs
+    assert parsed.left.body is Var(1)
+    # a rebuild with fresh children returns the node itself
+    assert rebuild(parsed, [Box(Star(Seq(Atomic(1), Atomic(2))), Var(1)), built.right]) is parsed
+    assert substitute(substitute(parsed, 1, Var(9)), 9, Var(1)) is parsed
+    renamed, _, _ = normalize_variables(parse_formula("[a5]p7 -> p7", PDL))
+    assert renamed is parse_formula("[a1]p1 -> p1", PDL)
+    assert hash(parsed) == hash(built)
+
+
+def test_node_kind_is_part_of_identity():
+    a, b = Atomic(1), Atomic(2)
+    assert Seq(a, b) is not Choice(a, b)
+    assert Seq(a, b) != Choice(a, b)
+    assert Inter(a, b) is not Par(a, b)
+    assert Var(1) is not Atomic(1)
+    assert Var(1) != Atomic(1)
+    assert Implies(Var(1), Var(2)) is not Implies(Var(2), Var(1))
+    assert Box(a, Var(1)) is not Box(b, Var(1))
+    assert Falsum() is FALSUM
+
+
+def test_nodes_are_immutable_and_checked():
+    node = Implies(Var(1), Var(2))
+    with pytest.raises(AttributeError):
+        node.left = Var(3)
+    with pytest.raises(AttributeError):
+        del node.right
+    assert node.left is Var(1)
+    for build, bad in ((Var, 0), (Atomic, -1), (Special, "r3")):
+        with pytest.raises(ValueError):
+            build(bad)
+    assert repr(Box(Atomic(1), Var(2))) == "Box(program=Atomic(index=1), body=Var(index=2))"
+
+
+def test_copies_and_pickles_return_the_interned_node():
+    phi = parse_formula("[a1* ; a2](p1 -> false) & <r1 || s2>true", PRSPDL)
+    for node in (phi, FALSUM, TOP, Special("s2"), Var(3)):
+        assert copy.copy(node) is node
+        assert copy.deepcopy(node) is node
+        assert pickle.loads(pickle.dumps(node)) is node
+
+
+def test_table_does_not_pin_nodes():
+    atom = Atomic(1)
+    gc.collect()
+    before = len(syntax._table)
+    fresh = [Box(atom, Var(1_000_000 + i)) for i in range(10_000)]
+    assert len(syntax._table) == before + 20_000
+    assert Box(atom, Var(1_000_000)) is fresh[0]
+    # keys hold leaf values and children's ids, never a node
+    assert not any(isinstance(part, (Formula, Program)) for key in syntax._table for part in key)
+    del fresh
+    gc.collect()
+    assert len(syntax._table) == before
+
+
+def test_deep_chains_compare_and_hash_by_identity():
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        chains = []
+        for _ in range(2):
+            phi = Var(5)
+            for level in range(10_000):
+                phi = Box(Atomic(7 + level % 2), phi)
+            chains.append(phi)
+        first, second = chains
+        assert first is second and first == second
+        assert hash(first) == hash(second)
+        assert first in {second}
+        assert first != Box(Atomic(9), first.body)
+        result = pdl_sat(first)
+        assert result.verdict is Verdict.SATISFIABLE
+        assert result.witness.model.num_states == 1
+    finally:
+        sys.setrecursionlimit(saved)
+
+
 # --- random ASTs for property tests ---
 
 
@@ -235,7 +341,7 @@ def formula_strategy(dialect):
     lambda d: st.tuples(st.just(d), formula_strategy(d))))
 def test_print_parse_round_trip(pair):
     dialect, phi = pair
-    assert parse_formula(print_formula(phi), dialect) == phi
+    assert parse_formula(print_formula(phi), dialect) is phi
 
 
 @settings(max_examples=200, deadline=None)
