@@ -1,8 +1,9 @@
 """Satisfiability back-ends.
 
-bounded_sat is a brute-force oracle for all three dialects: it streams
-small models in a fixed order, as the int masks the model checker works
-on, and evaluates the formula on each. It can only answer Satisfiable or
+bounded_sat is a brute-force oracle for all three dialects: it searches
+the first models of each size in the fixed enumeration order, thousands
+per evaluation of the formula, bit-sliced over model-parallel planes, and
+model-checks the first hit alone. It can only answer Satisfiable or
 UnknownAtBound; caps make it incomplete by design.
 
 pdl_sat decides regular PDL (no tests) by type elimination over the
@@ -46,7 +47,6 @@ from .syntax import (
     Seq,
     Star,
     Var,
-    metrics,
     validate,
 )
 
@@ -91,30 +91,36 @@ def bounded_sat(
     never Unsatisfiable, since capped enumeration proves nothing negative.
     Variables listed in universal_vars are forced true at every state
     instead of being enumerated. The formula's evaluation plan is built
-    once and run on the int masks of each enumerated model; a KripkeModel
-    is built only for the witness.
+    once, and each size's first models are evaluated a chunk at a time,
+    bit-sliced; only the first hit is decoded, checked by the model
+    checker and built as a KripkeModel.
     """
     if max_states < 1:
         raise ValueError("max_states must be >= 1")
     if per_size_model_cap < 1:
         raise ValueError("per_size_model_cap must be >= 1")
-    validate(phi, dialect)
-    m = metrics(phi)
-    plan = semantics._plan(phi)
+    # loaded on first use: of the package's callers, only bounded search
+    # needs it, and without cached bytecode every import compiles it
+    from . import bitslice
+
+    plan = semantics._plan(phi, dialect)
     forced = frozenset(universal_vars)
-    search_vars = sorted(set(m.variables) - forced)
+    search_vars = [v for v in plan.variables if v not in forced]
     for size in range(1, max_states + 1):
-        support = itertools.product(range(size), repeat=2) if dialect is Dialect.PRSPDL else ()
-        stream = semantics._enumerate_masks(
-            size, m.atoms, search_vars, dialect, support, forced
-        )
-        for masks in itertools.islice(stream, per_size_model_cap):
+        support = None
+        if dialect is Dialect.PRSPDL:
+            support = list(itertools.product(range(size), repeat=2))
+        layout = semantics._layout(size, plan.atoms, search_vars, support, forced)
+        hit = bitslice.first_hit(plan, layout, per_size_model_cap)
+        if hit is not None:
+            counter, state = hit
+            masks = semantics._decode(layout, counter)
             holds = semantics._run(plan, masks)
-            if holds:
-                lowest = (holds & -holds).bit_length() - 1
-                return SatResult(
-                    Verdict.SATISFIABLE, Witness(semantics._model(masks), lowest), size
-                )
+            if (holds & -holds).bit_length() - 1 != state:
+                raise AssertionError("bounded witness failed model checking")
+            return SatResult(
+                Verdict.SATISFIABLE, Witness(semantics._model(masks), state), size
+            )
     return SatResult(Verdict.UNKNOWN_AT_BOUND, None, max_states)
 
 

@@ -29,6 +29,7 @@ from .syntax import (
     Star,
     Test,
     Var,
+    admits,
     fold,
     validate,
 )
@@ -153,15 +154,41 @@ class _Masks(NamedTuple):
     star: Optional[list[tuple[Pair, int]]]
 
 
-def _plan(root: Formula | Program) -> list[tuple[object, list[int]]]:
-    plan: list[tuple[object, list[int]]] = []
+class _Plan(NamedTuple):
+    """A term's distinct subterms in post-order, each with the plan slots of
+    its children, and what a model view of it needs: the atoms and the
+    variables it names, in increasing order, and whether a Special or ||
+    reads the star function."""
+
+    steps: list[tuple[object, list[int]]]
+    atoms: list[int]
+    variables: list[int]
+    star: bool
+
+
+def _plan(root: Formula | Program, dialect: Dialect) -> _Plan:
+    """The plan of a term; raises DialectError, as validate does, if the
+    term uses a program constructor outside the dialect."""
+    steps: list[tuple[object, list[int]]] = []
+    atoms: list[int] = []
+    variables: list[int] = []
+    kinds: set[type] = set()
 
     def visit(node, slots):
-        plan.append((node, slots))
-        return len(plan) - 1
+        kind = type(node)
+        kinds.add(kind)
+        if kind is Atomic:
+            atoms.append(node.index)
+        elif kind is Var:
+            variables.append(node.index)
+        steps.append((node, slots))
+        return len(steps) - 1
 
+    # nodes are interned and fold visits each once, so no index repeats
     fold(root, visit)
-    return plan
+    if not admits(dialect, kinds):
+        validate(root, dialect)  # names the first foreign constructor
+    return _Plan(steps, sorted(atoms), sorted(variables), Special in kinds or Par in kinds)
 
 
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -201,18 +228,15 @@ def _pairs(rows: list[int]) -> Relation:
     return frozenset((s, t) for s, row in enumerate(rows) for t in _bits(row))
 
 
-def _masks(model: KripkeModel, plan: list[tuple[object, list[int]]]) -> _Masks:
+def _masks(model: KripkeModel, plan: _Plan) -> _Masks:
     """The model's mask view, holding only the atoms and variables the plan
     names, and the star entries only when it has a Special or ||."""
-    n, rows, truth, star = model.num_states, {}, {}, None
-    for node, _ in plan:
-        kind = type(node)
-        if kind is Atomic and node.index in model.relations and node.index not in rows:
-            rows[node.index] = _rows(model.relations[node.index], n)
-        elif kind is Var and node.index in model.valuation and node.index not in truth:
-            truth[node.index] = _mask(model.valuation[node.index])
-        elif (kind is Special or kind is Par) and star is None and model.star is not None:
-            star = [(p, _mask(zs)) for p, zs in model.star.items()]
+    n, relations, valuation = model.num_states, model.relations, model.valuation
+    rows = {a: _rows(relations[a], n) for a in plan.atoms if a in relations}
+    truth = {v: _mask(valuation[v]) for v in plan.variables if v in valuation}
+    star = None
+    if plan.star and model.star is not None:
+        star = [(p, _mask(zs)) for p, zs in model.star.items()]
     return _Masks(n, rows, truth, star)
 
 
@@ -225,7 +249,8 @@ def _model(masks: _Masks) -> KripkeModel:
     )
 
 
-def _star_entries(masks: _Masks) -> list[tuple[Pair, int]]:
+def _star_entries(masks):
+    """The star entries of a mask view, or of a bitslice.Chunk."""
     if masks.star is None:
         raise MissingStarError(
             "model has no star function but a PRSPDL construct was evaluated"
@@ -349,12 +374,12 @@ def _star(rows: list[int]) -> list[int]:
     return closure
 
 
-def _run(plan: list[tuple[object, list[int]]], masks: _Masks) -> int | list[int]:
+def _run(plan: _Plan, masks: _Masks) -> int | list[int]:
     """Value of the plan's last entry: a truth mask or successor masks."""
     n = masks.num_states
     full = (1 << n) - 1
     values: list = []
-    for node, slots in plan:
+    for node, slots in plan.steps:
         kind = type(node)
         if kind is Var:
             value = masks.truth.get(node.index, 0)
@@ -391,8 +416,7 @@ def _run(plan: list[tuple[object, list[int]]], masks: _Masks) -> int | list[int]
 
 
 def _evaluate(model: KripkeModel, root: Formula | Program, dialect: Dialect) -> int | list[int]:
-    validate(root, dialect)
-    plan = _plan(root)
+    plan = _plan(root, dialect)
     return _run(plan, _masks(model, plan))
 
 
@@ -414,36 +438,63 @@ def check(model: KripkeModel, state: int, phi: Formula, dialect: Dialect) -> boo
 
 
 # ---------------------------------------------------------------------------
-# Model generation
+# Model enumeration: one slot layout
+#
+# The models over a signature are read off an enumeration counter. A model
+# is N membership bits, its slots, in rows of n bits: row j*n + s holds the
+# successors of state s under the j-th atom, then come one row per variable
+# and one per star pair. Bit t of row r is counter bit N-1-(r*n+t), so
+# counting up varies the last slot fastest.
 
-def _enumerate_masks(
+
+class _Layout(NamedTuple):
+    """The slots of the models over a signature: atoms, variables and star
+    pairs in increasing order (support is None outside PRSPDL), the
+    variables forced true at every state, and the slot count N."""
+
+    num_states: int
+    atoms: list[int]
+    variables: list[int]
+    support: Optional[list[Pair]]
+    forced: frozenset[int]
+    width: int
+
+
+def _layout(
     num_states: int,
-    atoms: Iterable[int],
-    variables: Iterable[int],
-    dialect: Dialect,
-    star_support: Iterable[Pair] = (),
+    atoms: list[int],
+    variables: list[int],
+    support: Optional[list[Pair]],
     forced: frozenset[int] = frozenset(),
-) -> Iterator[_Masks]:
-    """The models of enumerate_models, lazily and in its order, with every
-    variable in forced true at every state."""
+) -> _Layout:
+    """The layout over sorted, distinct atoms, variables and star pairs."""
     if num_states < 1:
         raise ModelError("a model needs at least one state")
-    n, full = num_states, (1 << num_states) - 1
-    atom_list, var_list = sorted(set(atoms)), sorted(set(variables))
-    support = sorted(set(star_support)) if dialect is Dialect.PRSPDL else None
-    # one row of n bits per (atom, source state), per variable and per star
-    # pair, in that order; the first row's first bit varies slowest
-    edges, stars = len(atom_list) * n, len(atom_list) * n + len(var_list)
-    count = stars + len(support or ())
-    for counter in range(1 << count * n):
-        # reversed, bit i of the counter is bit i % n of row i // n
-        flipped = int(format(counter, f"0{count * n}b")[::-1], 2)
-        rows = [flipped >> i * n & full for i in range(count)]
-        truth = dict(zip(var_list, rows[edges:]))
-        truth.update((v, full) for v in forced)
-        star = None if support is None else [e for e in zip(support, rows[stars:]) if e[1]]
-        relations = {a: rows[j * n:(j + 1) * n] for j, a in enumerate(atom_list)}
-        yield _Masks(n, relations, truth, star)
+    rows = len(atoms) * num_states + len(variables) + len(support or ())
+    return _Layout(num_states, atoms, variables, support, forced, rows * num_states)
+
+
+def _slot(layout: _Layout, bit: int) -> tuple[int, int]:
+    """The row and the bit within it of the slot that counter bit `bit` sets."""
+    return divmod(layout.width - 1 - bit, layout.num_states)
+
+
+def _decode(layout: _Layout, counter: int) -> _Masks:
+    """The mask view of the counter-th model."""
+    n = layout.num_states
+    rows = [0] * (layout.width // n)
+    for bit in _bits(counter):
+        r, t = _slot(layout, bit)
+        rows[r] |= 1 << t
+    edges = len(layout.atoms) * n
+    stars = edges + len(layout.variables)
+    relations = {a: rows[j * n:(j + 1) * n] for j, a in enumerate(layout.atoms)}
+    truth = dict(zip(layout.variables, rows[edges:]))
+    truth.update((v, (1 << n) - 1) for v in layout.forced)
+    star = None
+    if layout.support is not None:
+        star = [e for e in zip(layout.support, rows[stars:]) if e[1]]
+    return _Masks(n, relations, truth, star)
 
 
 def enumerate_models(
@@ -461,12 +512,16 @@ def enumerate_models(
     enumerated over star_support only. Raises EnumerationLimitError when
     more than `limit` models would be yielded.
     """
-    stream = _enumerate_masks(num_states, atoms, variables, dialect, star_support)
-    for count, masks in enumerate(stream):
-        if limit is not None and count >= limit:
+    support = sorted(set(star_support)) if dialect is Dialect.PRSPDL else None
+    layout = _layout(num_states, sorted(set(atoms)), sorted(set(variables)), support)
+    for counter in range(1 << layout.width):
+        if limit is not None and counter >= limit:
             raise EnumerationLimitError(f"more than {limit} models requested")
-        yield _model(masks)
+        yield _model(_decode(layout, counter))
 
+
+# ---------------------------------------------------------------------------
+# Random models
 
 def random_model(
     num_states: int,

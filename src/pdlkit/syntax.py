@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from operator import attrgetter
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
 
 
 class Dialect(Enum):
@@ -311,6 +311,12 @@ _ALLOWED: dict[Dialect, tuple[type, ...]] = {
     Dialect.PRSPDL: (Atomic, Special, Test, Seq, Par, Star),
 }
 
+# Every node class a term of each dialect may contain.
+_KINDS = {
+    dialect: frozenset((Var, Falsum, Implies, Box, *programs))
+    for dialect, programs in _ALLOWED.items()
+}
+
 _PROGRAM_NAMES = {
     Atomic: "atomic program",
     Special: "store-access program",
@@ -339,6 +345,11 @@ def validate(root: Union[Formula, Program], dialect: Dialect) -> None:
         raise DialectError(
             f"{_PROGRAM_NAMES[type(offending)]} is not available under {dialect.value.upper()}"
         )
+
+
+def admits(dialect: Dialect, kinds: Iterable[type]) -> bool:
+    """Whether a term whose nodes are of these classes lies in the dialect."""
+    return _KINDS[dialect].issuperset(kinds)
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,18 @@ def test_bounded_sat_universal_vars_forced():
 def test_bounded_sat_respects_cap_and_bounds():
     result = bounded_sat(Var(1), PDL, 2, per_size_model_cap=1)
     assert result.verdict is Verdict.UNKNOWN_AT_BOUND  # only the empty model per size
+    # two states over a1, a2, p1, p2, p3 make 2**14 models, several chunks;
+    # the hit is model 6245 at two states, in the second chunk
+    space = 1 << 14
+    miss = parse_formula("p1 & ~p1 & [a1]p2 & [a2]p3", PDL)
+    hit = parse_formula("~p1 & <a1>p1 & [a1]<a1>~p1 & <a2>(p2 & p3)", PDL)
+    for phi in (miss, hit):
+        wide = bounded_sat(phi, PDL, 2, per_size_model_cap=10**9)
+        assert wide == bounded_sat(phi, PDL, 2, per_size_model_cap=space)
+    assert wide.verdict is Verdict.SATISFIABLE and wide.bound_used == 2
+    assert (wide.verdict, 2, *wide.witness) == _reference_scan(hit, PDL, 2, space)
+    assert bounded_sat(hit, PDL, 2, per_size_model_cap=6245).witness is None
+    assert bounded_sat(hit, PDL, 2, per_size_model_cap=6246) == wide
     with pytest.raises(ValueError):
         bounded_sat(TOP, PDL, 0)
     for cap in (0, -1):

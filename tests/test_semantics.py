@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pdlkit
-from pdlkit import semantics
+from pdlkit import bitslice, semantics
 from pdlkit.embedding import gadget_model
+from pdlkit.fuzzing import formula_corpus
 from pdlkit.semantics import (
     EnumerationLimitError,
     KripkeModel,
@@ -51,6 +52,7 @@ from pdlkit.syntax import (
     disj,
     iter_nodes,
     neg,
+    parse_formula,
     parse_program,
     substitute,
 )
@@ -322,6 +324,56 @@ def test_enumerate_limit():
     assert len(list(enumerate_models(1, {1}, {1}, PDL, limit=4))) == 4
     capped = enumerate_models(1, {1}, {1}, PDL, limit=2)
     assert len(list(itertools.islice(capped, 2))) == 2  # stop before the cap trips
+
+
+# --- bit-sliced evaluation ---
+
+# one formula each for ?, intersection, *, || and r1/r2/s1/s2, which a
+# random corpus reaches only now and then
+_SLICED = {
+    PDL: ["[a1*](p1 -> <a1 u a2>p2)", "<a1;a2*>~p1 & [a2*]p2"],
+    IPDL: ["[(p1?;a1) & a2]p2", "<(a1 & a2)*>p1", "[p2?]<a1* u a2>~p1"],
+    PRSPDL: [
+        "<r1>p1 & [r2]~p2", "<s1>p1 -> <s2>~p2", "<a1 || a2>p1",
+        "<(a1 || r1)*>~p1", "[p1?;s1](<r2>p2 | <a1*>p1)",
+    ],
+}
+
+
+def _chunks(space):
+    """(c0, count) chunks to compare: the first, cut short; the second,
+    cut short (a cap that is not a multiple of CHUNK); and the last full
+    one, whose counters set every high bit."""
+    chunk = bitslice.CHUNK
+    chunks = [(0, min(space, 700))]
+    if space > chunk:
+        chunks.append((chunk, min(space - chunk, 300)))
+    if space >= 2 * chunk:
+        chunks.append((space - chunk, chunk))
+    return chunks
+
+
+@pytest.mark.parametrize("dialect", [PDL, IPDL, PRSPDL])
+@pytest.mark.parametrize("forced", [frozenset(), frozenset({2})])
+def test_sliced_evaluation_matches_run_per_model(dialect, forced):
+    corpus = formula_corpus(5, 8, dialect, 7, 2, 2)
+    corpus += [parse_formula(text, dialect) for text in _SLICED[dialect]]
+    for phi in corpus:
+        plan = semantics._plan(phi, dialect)
+        variables = [v for v in plan.variables if v not in forced]
+        for size in (1, 2, 3):
+            support = None
+            if dialect is PRSPDL:
+                support = list(itertools.product(range(size), repeat=2))
+            layout = semantics._layout(size, plan.atoms, variables, support, forced)
+            space = 1 << layout.width
+            for c0, count in _chunks(space):
+                holds = bitslice.run(plan, bitslice.chunk(layout, c0, count, plan.star))
+                assert len(holds) == size and all(h >> count == 0 for h in holds)
+                for k in range(count):
+                    expected = semantics._run(plan, semantics._decode(layout, c0 + k))
+                    got = sum((h >> k & 1) << s for s, h in enumerate(holds))
+                    assert got == expected, (phi, size, c0 + k)
 
 
 # --- random models ---
