@@ -51,14 +51,14 @@ _PATTERNS = [_pattern(bit) for bit in range(CHUNK_BITS)]
 
 class Chunk(NamedTuple):
     """A chunk of models as one: the successor planes per atom, the truth
-    planes per variable, and the star entries, or None when the plan reads
-    no star; full has one bit per model of the chunk."""
+    planes per variable, and the star planes per pair, or None when the plan
+    reads no star; full has one bit per model of the chunk."""
 
     num_states: int
     full: int
     rows: dict[int, list[list[int]]]
     truth: dict[int, list[int]]
-    star: Optional[dict[Pair, list[int]]]
+    stars: Optional[dict[Pair, list[int]]]
 
 
 def chunk(layout: _Layout, c0: int, count: int, star: bool) -> Chunk:

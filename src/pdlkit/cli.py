@@ -91,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="write counterexamples to this file for replay")
 
     p = sub.add_parser("gadget", help="print a gadget model and its marker formulas")
-    p.add_argument("m", type=int, help="gadget index (>= 1)")
+    p.add_argument("m", type=int, help="gadget index (1 to 1000)")
     p.add_argument("b", type=int, help="atom index (>= 1)")
     p.add_argument("--format", choices=("text", "lines"), default="text")
     p.add_argument("--out-model", metavar="PATH", help="also write the model JSON here")
@@ -261,7 +261,13 @@ def cmd_equisat_fuzz(args) -> int:
     return 0 if report.passed and ceiling_ok else 1
 
 
+# The m-th gadget's R_b has about m²/2 pairs, and the JSON output lists each.
+_MAX_GADGET = 1000
+
+
 def cmd_gadget(args) -> int:
+    if args.m > _MAX_GADGET:
+        raise ValueError(f"gadget index m must be <= {_MAX_GADGET}")
     model = embedding.gadget_model(args.m, args.b)
     formula_a = embedding.marker_formula_A(args.m, args.b)
     formula_b = embedding.marker_formula_B(args.m, args.b)

@@ -92,8 +92,8 @@ def bounded_sat(
     Variables listed in universal_vars are forced true at every state
     instead of being enumerated. The formula's evaluation plan is built
     once, and each size's first models are evaluated a chunk at a time,
-    bit-sliced; only the first hit is decoded, checked by the model
-    checker and built as a KripkeModel.
+    bit-sliced; only the first hit is decoded into a KripkeModel and
+    checked by the model checker.
     """
     if max_states < 1:
         raise ValueError("max_states must be >= 1")
@@ -114,13 +114,11 @@ def bounded_sat(
         hit = bitslice.first_hit(plan, layout, per_size_model_cap)
         if hit is not None:
             counter, state = hit
-            masks = semantics._decode(layout, counter)
-            holds = semantics._run(plan, masks)
+            model = semantics._decode(layout, counter)
+            holds = semantics._run(plan, model)
             if (holds & -holds).bit_length() - 1 != state:
                 raise AssertionError("bounded witness failed model checking")
-            return SatResult(
-                Verdict.SATISFIABLE, Witness(semantics._model(masks), state), size
-            )
+            return SatResult(Verdict.SATISFIABLE, Witness(model, state), size)
     return SatResult(Verdict.UNKNOWN_AT_BOUND, None, max_states)
 
 

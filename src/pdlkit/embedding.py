@@ -194,10 +194,12 @@ def gadget_model(m: int, b: int) -> KripkeModel:
     """
     if m < 1:
         raise EmbeddingError(f"gadget index must be >= 1, got {m}")
-    edges = {(0, 1), (1, 1)}
-    edges.update((0, k) for k in range(2, m + 2))
-    edges.update((j, k) for j in range(2, m + 2) for k in range(j + 1, m + 2))
-    return KripkeModel(m + 2, {b: edges}, {})
+    if b < 1:
+        raise EmbeddingError(f"atom index must be >= 1, got {b}")
+    full = (1 << (m + 2)) - 1
+    # the root sees all states but itself, the hub itself, chain state j those above j
+    chain = (full ^ ((2 << j) - 1) for j in range(2, m + 2))
+    return KripkeModel._of(m + 2, {b: (full ^ 1, 1 << 1, *chain)}, {}, None)
 
 
 def _diamonds(count: int, b: int, body: Formula) -> Formula:
@@ -314,18 +316,17 @@ def attach_gadgets(model: KripkeModel, ctx: TranslationContext) -> KripkeModel:
     root exactly when p_m holds at x. Original states keep their ids, so the
     grounded formula can be checked at the original witness state.
     """
-    marker_states = model.valuation.get(ctx.n + 1, frozenset())
-    if set(marker_states) != set(model.states):
+    n = model.num_states
+    if model.truth.get(ctx.n + 1, 0) != (1 << n) - 1:
         raise EmbeddingError(f"marker p{ctx.n + 1} must hold at every state")
-    relations = {a: set(pairs) for a, pairs in model.relations.items()}
-    edges = relations.setdefault(ctx.b, set())
-    offset = model.num_states
+    edges = list(model.rows.get(ctx.b, (0,) * n))
     for m in range(1, ctx.n + 2):
-        gadget = gadget_model(m, ctx.b)
-        edges.update(
-            (offset + s, offset + t) for s, t in gadget.relations.get(ctx.b, ())
-        )
-        holds_pm = model.valuation.get(m, frozenset())
-        edges.update((x, offset) for x in holds_pm)
-        offset += gadget.num_states
-    return KripkeModel(offset, relations, dict(model.valuation), model.star)
+        offset = len(edges)  # one row per state so far: the gadget's root
+        edges.extend(row << offset for row in gadget_model(m, ctx.b).rows[ctx.b])
+        for x in semantics._bits(model.truth.get(m, 0)):
+            edges[x] |= 1 << offset
+    # the other relations have no edges at the gadgets' states
+    padding = (0,) * (len(edges) - n)
+    rows = {a: successors + padding for a, successors in model.rows.items()}
+    rows[ctx.b] = tuple(edges)
+    return KripkeModel._of(len(edges), rows, model.truth, model.stars)

@@ -1,8 +1,9 @@
 """Finite Kripke models and explicit-state model checking for the three dialects.
 
-Models are immutable. PRSPDL models additionally carry a composition
-function star : S x S -> 2^S, stored sparsely; pairs without an entry
-compose to the empty set. PDL and IPDL never consult star.
+Models are immutable and hold the int masks the evaluator reads. PRSPDL
+models additionally carry a composition function star : S x S -> 2^S,
+stored sparsely; pairs without an entry compose to the empty set. PDL and
+IPDL never consult star.
 """
 
 from __future__ import annotations
@@ -10,7 +11,8 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .syntax import (
@@ -50,64 +52,100 @@ class EnumerationLimitError(RuntimeError):
     """enumerate_models was asked to yield more models than its cap allows."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class KripkeModel:
-    """A finite Kripke model with states 0..num_states-1.
+    """A finite Kripke model with states 0..num_states-1, held as int masks.
 
-    relations maps atom index -> set of (source, target) pairs; valuation
-    maps variable index -> set of states; star, when present, maps a state
-    pair (x, y) to the set of states composed from x and y.
+    rows maps atom index -> a tuple of successor masks, one per state;
+    truth maps variable index -> the mask of the states where it holds;
+    stars, when present, maps a state pair (x, y) to the mask of the states
+    composed from x and y. Empty entries are dropped. The constructor takes
+    pairs and state sets; relations, valuation and star are the same model
+    in that form, each built on first read.
     """
 
     num_states: int
-    relations: Mapping[int, Relation] = field(default_factory=dict)
-    valuation: Mapping[int, frozenset[int]] = field(default_factory=dict)
-    star: Optional[Mapping[Pair, frozenset[int]]] = None
+    rows: dict[int, tuple[int, ...]]
+    truth: dict[int, int]
+    stars: Optional[dict[Pair, int]]
 
-    def __post_init__(self):
-        if self.num_states < 1:
+    def __init__(
+        self,
+        num_states: int,
+        relations: Mapping[int, Iterable[Pair]] = {},
+        valuation: Mapping[int, Iterable[int]] = {},
+        star: Optional[Mapping[Pair, Iterable[int]]] = None,
+    ):
+        if num_states < 1:
             raise ModelError("a model needs at least one state")
-        rng = range(self.num_states)
 
-        def in_range(values: Iterable, where: str) -> frozenset[int]:
-            values = frozenset(int(s) for s in values)
-            for s in values:
-                if s not in rng:
-                    raise ModelError(f"{where} references missing state {s}")
-            return values
+        def state(s, where: str) -> int:
+            s = int(s)
+            if not 0 <= s < num_states:
+                raise ModelError(f"{where} references missing state {s}")
+            return s
 
-        relations = {}
-        for atom, pairs in self.relations.items():
+        def mask(states: Iterable, where: str) -> int:
+            return _mask(state(s, where) for s in states)
+
+        rows = {}
+        for atom, pairs in relations.items():
             if atom < 1:
                 raise ModelError(f"atom index must be >= 1, got {atom}")
-            pairs = frozenset((int(s), int(t)) for s, t in pairs)
-            in_range(itertools.chain.from_iterable(pairs), f"relation a{atom}")
-            if pairs:
-                relations[atom] = pairs
-        valuation = {}
-        for var, members in self.valuation.items():
+            where = f"relation a{atom}"
+            checked = ((state(s, where), state(t, where)) for s, t in pairs)
+            rows[atom] = _rows(checked, num_states)
+        truth = {}
+        for var, members in valuation.items():
             if var < 1:
                 raise ModelError(f"variable index must be >= 1, got {var}")
-            if members := in_range(members, f"valuation of p{var}"):
-                valuation[var] = members
-        star = None
-        if self.star is not None:
-            star = {}
-            for (x, y), result in self.star.items():
-                in_range((x, y), f"star entry ({x},{y})")
-                if result := in_range(result, f"star({x},{y})"):
-                    star[(int(x), int(y))] = result
-        object.__setattr__(self, "relations", relations)
-        object.__setattr__(self, "valuation", valuation)
-        object.__setattr__(self, "star", star)
+            truth[var] = mask(members, f"valuation of p{var}")
+        stars = None
+        if star is not None:
+            stars = {}
+            for (x, y), result in star.items():
+                where = f"star entry ({x},{y})"
+                stars[state(x, where), state(y, where)] = mask(result, f"star({x},{y})")
+        self._store(num_states, rows, truth, stars)
+
+    @classmethod
+    def _of(cls, num_states: int, rows: dict, truth: dict, stars: Optional[dict]):
+        """The model with these masks, unchecked: each must lie in range,
+        and each atom needs num_states rows."""
+        model = object.__new__(cls)
+        model._store(num_states, rows, truth, stars)
+        return model
+
+    def _store(self, num_states, rows, truth, stars) -> None:
+        # the one normal form: rows as tuples, and no empty entry
+        if stars is not None:
+            stars = {p: mask for p, mask in stars.items() if mask}
+        object.__setattr__(self, "num_states", num_states)
+        object.__setattr__(self, "rows", {a: tuple(r) for a, r in rows.items() if any(r)})
+        object.__setattr__(self, "truth", {v: mask for v, mask in truth.items() if mask})
+        object.__setattr__(self, "stars", stars)
 
     @property
     def states(self) -> range:
         return range(self.num_states)
 
+    @cached_property
+    def relations(self) -> dict[int, Relation]:
+        return {a: _pairs(rows) for a, rows in self.rows.items()}
+
+    @cached_property
+    def valuation(self) -> dict[int, frozenset[int]]:
+        return {v: frozenset(_bits(mask)) for v, mask in self.truth.items()}
+
+    @cached_property
+    def star(self) -> Optional[dict[Pair, frozenset[int]]]:
+        if self.stars is None:
+            return None
+        return {p: frozenset(_bits(mask)) for p, mask in self.stars.items()}
+
     def __hash__(self):
-        return hash((self.num_states, frozenset(self.relations.items()),
-                     frozenset(self.valuation.items())))
+        return hash((self.num_states, frozenset(self.rows.items()),
+                     frozenset(self.truth.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -144,21 +182,11 @@ def rtc_worklist(pairs: Iterable[Pair], num_states: int) -> Relation:
 # a list of successor masks, one per source state.
 
 
-class _Masks(NamedTuple):
-    """The evaluator's one input form: successor rows per atom, a truth mask
-    per variable, and star entries ((x, y), mask), or None without a star."""
-
-    num_states: int
-    rows: dict[int, list[int]]
-    truth: dict[int, int]
-    star: Optional[list[tuple[Pair, int]]]
-
-
 class _Plan(NamedTuple):
     """A term's distinct subterms in post-order, each with the plan slots of
-    its children, and what a model view of it needs: the atoms and the
-    variables it names, in increasing order, and whether a Special or ||
-    reads the star function."""
+    its children, and the signature of the models bounded search builds
+    for it: the atoms and the variables it names, in increasing order, and
+    whether a Special or || reads the star function."""
 
     steps: list[tuple[object, list[int]]]
     atoms: list[int]
@@ -228,41 +256,20 @@ def _pairs(rows: list[int]) -> Relation:
     return frozenset((s, t) for s, row in enumerate(rows) for t in _bits(row))
 
 
-def _masks(model: KripkeModel, plan: _Plan) -> _Masks:
-    """The model's mask view, holding only the atoms and variables the plan
-    names, and the star entries only when it has a Special or ||."""
-    n, relations, valuation = model.num_states, model.relations, model.valuation
-    rows = {a: _rows(relations[a], n) for a in plan.atoms if a in relations}
-    truth = {v: _mask(valuation[v]) for v in plan.variables if v in valuation}
-    star = None
-    if plan.star and model.star is not None:
-        star = [(p, _mask(zs)) for p, zs in model.star.items()]
-    return _Masks(n, rows, truth, star)
-
-
-def _model(masks: _Masks) -> KripkeModel:
-    return KripkeModel(
-        masks.num_states,
-        {a: _pairs(rows) for a, rows in masks.rows.items()},
-        {v: _bits(mask) for v, mask in masks.truth.items()},
-        None if masks.star is None else {p: _bits(mask) for p, mask in masks.star},
-    )
-
-
-def _star_entries(masks):
-    """The star entries of a mask view, or of a bitslice.Chunk."""
-    if masks.star is None:
+def _star_entries(model):
+    """The star masks of a model, or the star planes of a bitslice.Chunk."""
+    if model.stars is None:
         raise MissingStarError(
             "model has no star function but a PRSPDL construct was evaluated"
         )
-    return masks.star
+    return model.stars
 
 
-def _special(masks: _Masks, kind: str) -> list[int]:
+def _special(model: KripkeModel, kind: str) -> list[int]:
     # s is composed from x and y (s in x*y): r1/r2 lead from s to x/y,
     # s1/s2 from x/y to s
-    rows = [0] * masks.num_states
-    for (x, y), result in _star_entries(masks):
+    rows = [0] * model.num_states
+    for (x, y), result in _star_entries(model).items():
         part = x if kind[1] == "1" else y
         if kind[0] == "r":
             for s in _bits(result):
@@ -272,13 +279,12 @@ def _special(masks: _Masks, kind: str) -> list[int]:
     return rows
 
 
-def _par(masks: _Masks, left: list[int], right: list[int]) -> list[int]:
+def _par(model: KripkeModel, left: list[int], right: list[int]) -> list[int]:
     # s -> t when s in x1*x2, t in y1*y2, x1 -> y1 by left and x2 -> y2 by
     # right; targets are looked up by (y1, y2) instead of scanning every entry
-    entries = _star_entries(masks)
-    targets = dict(entries)
-    rows = [0] * masks.num_states
-    for (x1, x2), sources in entries:
+    targets = _star_entries(model)
+    rows = [0] * model.num_states
+    for (x1, x2), sources in targets.items():
         reached = 0
         seconds = list(_bits(right[x2]))
         for y1 in _bits(left[x1]):
@@ -374,15 +380,15 @@ def _star(rows: list[int]) -> list[int]:
     return closure
 
 
-def _run(plan: _Plan, masks: _Masks) -> int | list[int]:
-    """Value of the plan's last entry: a truth mask or successor masks."""
-    n = masks.num_states
+def _run(plan: _Plan, model: KripkeModel) -> int | list[int]:
+    """The plan's last entry on the model: a truth mask or successor masks."""
+    n = model.num_states
     full = (1 << n) - 1
     values: list = []
     for node, slots in plan.steps:
         kind = type(node)
         if kind is Var:
-            value = masks.truth.get(node.index, 0)
+            value = model.truth.get(node.index, 0)
         elif kind is Falsum:
             value = 0
         elif kind is Implies:
@@ -394,9 +400,9 @@ def _run(plan: _Plan, masks: _Masks) -> int | list[int]:
                 if not row & failing:
                     value |= 1 << s
         elif kind is Atomic:
-            value = masks.rows.get(node.index) or [0] * n
+            value = model.rows.get(node.index) or [0] * n
         elif kind is Special:
-            value = _special(masks, node.kind)
+            value = _special(model, node.kind)
         elif kind is Test:
             holds = values[slots[0]]
             value = [holds & 1 << s for s in range(n)]
@@ -408,33 +414,28 @@ def _run(plan: _Plan, masks: _Masks) -> int | list[int]:
         elif kind is Inter:
             value = [a & b for a, b in zip(values[slots[0]], values[slots[1]])]
         elif kind is Par:
-            value = _par(masks, values[slots[0]], values[slots[1]])
+            value = _par(model, values[slots[0]], values[slots[1]])
         else:  # Star
             value = _star(values[slots[0]])
         values.append(value)
     return values[-1]
 
 
-def _evaluate(model: KripkeModel, root: Formula | Program, dialect: Dialect) -> int | list[int]:
-    plan = _plan(root, dialect)
-    return _run(plan, _masks(model, plan))
-
-
 def relation_of(model: KripkeModel, alpha: Program, dialect: Dialect) -> Relation:
     """Accessibility relation of a compound program term."""
-    return _pairs(_evaluate(model, alpha, dialect))
+    return _pairs(_run(_plan(alpha, dialect), model))
 
 
 def truth_set(model: KripkeModel, phi: Formula, dialect: Dialect) -> frozenset[int]:
     """All states satisfying phi; each distinct subterm is evaluated once."""
-    return frozenset(_bits(_evaluate(model, phi, dialect)))
+    return frozenset(_bits(_run(_plan(phi, dialect), model)))
 
 
 def check(model: KripkeModel, state: int, phi: Formula, dialect: Dialect) -> bool:
     """Truth of phi at one state."""
     if state not in model.states:
         raise ModelError(f"state {state} not in model with {model.num_states} states")
-    return bool(_evaluate(model, phi, dialect) >> state & 1)
+    return bool(_run(_plan(phi, dialect), model) >> state & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +480,8 @@ def _slot(layout: _Layout, bit: int) -> tuple[int, int]:
     return divmod(layout.width - 1 - bit, layout.num_states)
 
 
-def _decode(layout: _Layout, counter: int) -> _Masks:
-    """The mask view of the counter-th model."""
+def _decode(layout: _Layout, counter: int) -> KripkeModel:
+    """The counter-th model."""
     n = layout.num_states
     rows = [0] * (layout.width // n)
     for bit in _bits(counter):
@@ -491,10 +492,8 @@ def _decode(layout: _Layout, counter: int) -> _Masks:
     relations = {a: rows[j * n:(j + 1) * n] for j, a in enumerate(layout.atoms)}
     truth = dict(zip(layout.variables, rows[edges:]))
     truth.update((v, (1 << n) - 1) for v in layout.forced)
-    star = None
-    if layout.support is not None:
-        star = [e for e in zip(layout.support, rows[stars:]) if e[1]]
-    return _Masks(n, relations, truth, star)
+    star = None if layout.support is None else dict(zip(layout.support, rows[stars:]))
+    return KripkeModel._of(n, relations, truth, star)
 
 
 def enumerate_models(
@@ -517,7 +516,7 @@ def enumerate_models(
     for counter in range(1 << layout.width):
         if limit is not None and counter >= limit:
             raise EnumerationLimitError(f"more than {limit} models requested")
-        yield _model(_decode(layout, counter))
+        yield _decode(layout, counter)
 
 
 # ---------------------------------------------------------------------------
@@ -541,21 +540,16 @@ def random_model(
         raise ValueError("edge_probability must lie in [0, 1]")
     rng = random.Random(seed)
     states = range(num_states)
-    relations = {
-        a: {(s, t) for s in states for t in states if rng.random() < edge_probability}
-        for a in sorted(set(atoms))
-    }
-    valuation = {
-        v: {s for s in states if rng.random() < edge_probability}
-        for v in sorted(set(variables))
-    }
+    pairs = list(itertools.product(states, repeat=2))
+
+    def draw(slots: Iterable, probability: float) -> set:
+        return {slot for slot in slots if rng.random() < probability}
+
+    relations = {a: draw(pairs, edge_probability) for a in sorted(set(atoms))}
+    valuation = {v: draw(states, edge_probability) for v in sorted(set(variables))}
     star = None
     if star_probability is not None:
-        star = {
-            (x, y): {z for z in states if rng.random() < star_probability}
-            for x in states
-            for y in states
-        }
+        star = {pair: draw(states, star_probability) for pair in pairs}
     return KripkeModel(num_states, relations, valuation, star)
 
 

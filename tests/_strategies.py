@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import cache
+
 from hypothesis import strategies as st
 
 from pdlkit.semantics import KripkeModel
@@ -34,6 +36,8 @@ def pair_sets(n):
     )
 
 
+# Cached: hypothesis validates a strategy object once, not on every draw.
+@cache
 def models(n, with_star):
     star = st.just(None)
     if with_star:
@@ -73,6 +77,7 @@ def programs(dialect, formulas_inner):
     return st.recursive(base, extend, max_leaves=3)
 
 
+@cache
 def formulas(dialect):
     base = st.integers(1, 3).map(Var) | st.just(FALSUM) | st.just(TOP)
 

@@ -184,6 +184,8 @@ def test_sat_usage_errors(capsys):
      "--max-states and --cap apply to witness mode only"),
     (("equisat-fuzz", "--dialect", "pdl", "--mode", "complete", "--count", "2", "--cap", "6000"),
      "--max-states and --cap apply to witness mode only"),
+    (("gadget", "1001", "1"), "gadget index m must be <= 1000"),
+    (("gadget", str(10**9), "1"), "gadget index m must be <= 1000"),
 ])
 def test_out_of_range_search_bounds_are_input_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)

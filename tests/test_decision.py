@@ -110,13 +110,14 @@ def test_bounded_sat_respects_cap_and_bounds():
 @pytest.mark.parametrize("universal_vars", [(), (1,)])
 def test_bounded_sat_builds_a_model_only_for_the_witness(dialect, universal_vars, monkeypatch):
     built = []
-    post_init = KripkeModel.__post_init__
+    store = KripkeModel._store
 
-    def counting(self):
-        built.append(self.num_states)
-        post_init(self)
+    def counting(self, num_states, *masks):
+        built.append(num_states)
+        store(self, num_states, *masks)
 
-    monkeypatch.setattr(KripkeModel, "__post_init__", counting)
+    # both constructors, from pairs and from masks, end in _store
+    monkeypatch.setattr(KripkeModel, "_store", counting)
     hit = parse_formula("p2 & <a1>~p2", dialect)  # first hit at two states
     result = bounded_sat(hit, dialect, 2, universal_vars=universal_vars)
     assert result.verdict is Verdict.SATISFIABLE and built == [2]

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,40 @@ def test_model_rejects_bad_shapes():
         KripkeModel(2, star={(0, 3): {1}})
     with pytest.raises(ModelError):
         KripkeModel(2, star={(0, 0): {7}})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(st.integers(1, 4), st.booleans()).flatmap(lambda t: models(*t)))
+def test_model_is_rebuilt_from_its_views(m):
+    rebuilt = KripkeModel(m.num_states, m.relations, m.valuation, m.star)
+    assert rebuilt == m and hash(rebuilt) == hash(m)
+    assert model_from_json(model_to_json(m)) == m
+
+
+def test_an_empty_star_function_is_not_a_missing_one():
+    par = Par(Atomic(1), Atomic(1))
+    with_star, without = KripkeModel(2, star={}), KripkeModel(2)
+    assert with_star != without
+    assert relation_of(with_star, par, PRSPDL) == frozenset()
+    with pytest.raises(MissingStarError):
+        relation_of(without, par, PRSPDL)
+
+
+def test_models_are_read_only():
+    m = KripkeModel(2, {1: {(0, 1)}}, {1: {1}})
+    for name in ("num_states", "rows", "truth", "relations", "valuation", "star"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, None)
+
+
+def test_a_large_gadget_is_held_as_masks():
+    tracemalloc.start()
+    try:
+        gadget_model(2000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
 
 
 # --- closures ---

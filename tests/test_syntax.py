@@ -6,6 +6,7 @@ import copy
 import gc
 import pickle
 import sys
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -319,6 +320,8 @@ def _programs(dialect, formulas):
     return st.recursive(base, extend, max_leaves=4)
 
 
+# Cached: hypothesis validates a strategy object once, not on every draw.
+@cache
 def formula_strategy(dialect):
     base = st.integers(1, 4).map(Var) | st.just(FALSUM) | st.just(TOP)
 
