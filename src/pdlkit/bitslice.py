@@ -5,10 +5,10 @@ of CHUNK, evaluated as one model-parallel model (bit slicing; Biham, FSE
 1997): bit k of every int, a plane, stands for model c0 + k, the model
 that semantics' slot layout reads off counter c0 + k. A truth value is one
 plane per state, a relation an n x n matrix of planes (row s, column t),
-and the star function a dict from each pair with a non-zero entry to its n
-planes. Each operator of a semantics plan is applied plane-wise, as
-semantics._run applies it to one model, skipping zero planes where that
-saves a loop.
+and the star function, when the layout has one, a dict from each pair
+with a non-zero entry to its n planes. Each operator of a semantics plan
+is applied plane-wise, as semantics._run applies it to one model,
+skipping zero planes where that saves a loop.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ _PATTERNS = [_pattern(bit) for bit in range(CHUNK_BITS)]
 
 class Chunk(NamedTuple):
     """A chunk of models as one: the successor planes per atom, the truth
-    planes per variable, and the star planes per pair, or None when the plan
-    reads no star; full has one bit per model of the chunk."""
+    planes per variable, and the star planes per pair, or None when the
+    layout has no star function; full has one bit per model of the chunk."""
 
     num_states: int
     full: int
@@ -61,7 +61,7 @@ class Chunk(NamedTuple):
     stars: Optional[dict[Pair, list[int]]]
 
 
-def chunk(layout: _Layout, c0: int, count: int, star: bool) -> Chunk:
+def chunk(layout: _Layout, c0: int, count: int) -> Chunk:
     """The chunk of `count` <= CHUNK models from counter c0 on, c0 a
     multiple of CHUNK. A counter bit below CHUNK_BITS follows its pattern;
     a higher one is all ones where c0 has it and zero elsewhere. Only
@@ -69,7 +69,7 @@ def chunk(layout: _Layout, c0: int, count: int, star: bool) -> Chunk:
     n, full = layout.num_states, (1 << count) - 1
     rows = {a: [[0] * n for _ in range(n)] for a in layout.atoms}
     truth = {v: [0] * n for v in layout.variables}
-    entries = {} if star and layout.support is not None else None
+    entries = None if layout.support is None else {}
     edges = len(layout.atoms) * n
     stars = edges + len(layout.variables)
     low = [(bit, _PATTERNS[bit] & full) for bit in range(min(CHUNK_BITS, layout.width))]
@@ -81,7 +81,7 @@ def chunk(layout: _Layout, c0: int, count: int, star: bool) -> Chunk:
             rows[layout.atoms[r // n]][r % n][t] = plane
         elif r < stars:
             truth[layout.variables[r - edges]][t] = plane
-        elif entries is not None:
+        else:
             entries.setdefault(layout.support[r - stars], [0] * n)[t] = plane
     truth.update((v, [full] * n) for v in layout.forced)
     return Chunk(n, full, rows, truth, entries)
@@ -197,7 +197,7 @@ def first_hit(plan: _Plan, layout: _Layout, cap: int) -> Optional[tuple[int, int
     # min(cap, 2**width), without building 2**width for a wide layout
     total = min(cap, 1 << min(layout.width, cap.bit_length()))
     for c0 in range(0, total, CHUNK):
-        holds = run(plan, chunk(layout, c0, min(CHUNK, total - c0), plan.star))
+        holds = run(plan, chunk(layout, c0, min(CHUNK, total - c0)))
         anywhere = 0
         for plane in holds:
             anywhere |= plane

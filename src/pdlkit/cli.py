@@ -277,7 +277,7 @@ def cmd_gadget(args) -> int:
         "command": "gadget",
         "m": args.m,
         "b": args.b,
-        "model": json.loads(semantics.model_to_json(model)),
+        "model": semantics._json_object(model),
         "A": print_formula(formula_a),
         "B": print_formula(formula_b),
     })

@@ -3,7 +3,8 @@
 bounded_sat is a brute-force oracle for all three dialects: it searches
 the first models of each size in the fixed enumeration order, thousands
 per evaluation of the formula, bit-sliced over model-parallel planes, and
-model-checks the first hit alone. It can only answer Satisfiable or
+model-checks the first hit alone; a PRSPDL star function is searched
+only when the formula reads it. It can only answer Satisfiable or
 UnknownAtBound; caps make it incomplete by design.
 
 pdl_sat decides regular PDL (no tests) by type elimination over the
@@ -90,10 +91,11 @@ def bounded_sat(
     Returns the first witness in enumeration order, or UnknownAtBound;
     never Unsatisfiable, since capped enumeration proves nothing negative.
     Variables listed in universal_vars are forced true at every state
-    instead of being enumerated. The formula's evaluation plan is built
-    once, and each size's first models are evaluated a chunk at a time,
-    bit-sliced; only the first hit is decoded into a KripkeModel and
-    checked by the model checker.
+    instead of being enumerated. Under PRSPDL the star function spans all
+    state pairs when r1/r2/s1/s2 or || reads it, and is empty otherwise.
+    The formula's evaluation plan is built once, and each size's first
+    models are evaluated a chunk at a time, bit-sliced; only the first hit
+    is decoded into a KripkeModel and checked by the model checker.
     """
     if max_states < 1:
         raise ValueError("max_states must be >= 1")
@@ -107,9 +109,8 @@ def bounded_sat(
     forced = frozenset(universal_vars)
     search_vars = [v for v in plan.variables if v not in forced]
     for size in range(1, max_states + 1):
-        support = None
-        if dialect is Dialect.PRSPDL:
-            support = list(itertools.product(range(size), repeat=2))
+        pairs = list(itertools.product(range(size), repeat=2)) if plan.star else []
+        support = pairs if dialect is Dialect.PRSPDL else None
         layout = semantics._layout(size, plan.atoms, search_vars, support, forced)
         hit = bitslice.first_hit(plan, layout, per_size_model_cap)
         if hit is not None:

@@ -77,9 +77,7 @@ def build_context(phi: Formula, dialect: Dialect) -> TranslationContext:
     validate(phi, dialect)
     m = metrics(phi)
     n = max(m.variables, default=0)
-    l = max(m.atoms, default=0)
-    if l == 0:
-        l = 1
+    l = max(m.atoms, default=1)
     b = min(m.atoms, default=1)
     gamma: Optional[Program] = None
     if dialect is not Dialect.PRSPDL:

@@ -556,23 +556,22 @@ def random_model(
 # ---------------------------------------------------------------------------
 # JSON persistence
 
+def _json_object(model: KripkeModel) -> dict:
+    """The object model_to_json writes, read off the masks in sorted order."""
+    obj: dict = {"states": model.num_states, "relations": {}, "valuation": {}}
+    for a, rows in sorted(model.rows.items()):
+        obj["relations"][f"a{a}"] = [[s, t] for s, row in enumerate(rows) for t in _bits(row)]
+    for v, mask in sorted(model.truth.items()):
+        obj["valuation"][f"p{v}"] = list(_bits(mask))
+    if model.stars is not None:
+        entries = sorted(model.stars.items())
+        obj["star"] = [[x, y, list(_bits(mask))] for (x, y), mask in entries]
+    return obj
+
+
 def model_to_json(model: KripkeModel) -> str:
     """Canonical JSON rendering; model_from_json inverts it exactly."""
-    obj: dict = {
-        "states": model.num_states,
-        "relations": {
-            f"a{a}": [list(p) for p in sorted(model.relations[a])]
-            for a in sorted(model.relations)
-        },
-        "valuation": {
-            f"p{v}": sorted(model.valuation[v]) for v in sorted(model.valuation)
-        },
-    }
-    if model.star is not None:
-        obj["star"] = [
-            [x, y, sorted(model.star[(x, y)])] for x, y in sorted(model.star)
-        ]
-    return json.dumps(obj, indent=2)
+    return json.dumps(_json_object(model), indent=2)
 
 
 # The evaluator allocates per-state lists and masks of num_states bits, so a

@@ -163,6 +163,13 @@ def test_sat_bounded_backend(tmp_path, capsys):
         capsys, "sat", "--dialect", "prspdl", "--bounded", "2", "p1 & ~p1",
     )
     assert code == 0 and out.strip() == "unknown-at-bound"
+    # reads no star, so PRSPDL searches PDL's models and finds PDL's witness
+    for dialect in ("pdl", "ipdl", "prspdl"):
+        code, out, _ = run(
+            capsys, "sat", "--dialect", dialect, "--bounded", "4",
+            "<a1><a1>p1 & ~p1 & [a1]~p1",
+        )
+        assert (code, out.strip()) == (0, "satisfiable (witness: state 1 of 3)")
 
 
 def test_sat_usage_errors(capsys):
@@ -262,6 +269,42 @@ def test_equisat_fuzz_replays_counterexamples(tmp_path, capsys, monkeypatch):
     record = json.loads(line)
     assert parse_formula(record["formula"], Dialect.PDL) == phi
     assert record["mode"] == "complete" and record["detail"] == "verdict mismatch"
+
+
+def test_complete_fuzz_records_a_verdict_mismatch(capsys, monkeypatch):
+    corpus = fuzzing.formula_corpus(3, 4, Dialect.PDL, 12, 3, 2)
+    groundings = {embedding.embed(phi, Dialect.PDL) for phi in corpus}
+    pdl_sat, Verdict = decision.pdl_sat, decision.Verdict
+    flipped = {Verdict.SATISFIABLE: Verdict.UNSATISFIABLE,
+               Verdict.UNSATISFIABLE: Verdict.SATISFIABLE}
+
+    def other_verdict_for_groundings(formula, max_nodes):
+        result = pdl_sat(formula, max_nodes)
+        if formula in groundings:
+            return decision.SatResult(flipped[result.verdict])
+        return result
+
+    monkeypatch.setattr(decision, "pdl_sat", other_verdict_for_groundings)
+    report = fuzzing.run_complete_fuzz(4, 3)
+    assert report.passed is False
+    assert report.failures == [
+        fuzzing.FuzzFailure(phi, f"verdict mismatch: {verdict.value} for input, "
+                                 f"{flipped[verdict].value} for its grounding")
+        for phi in corpus
+        for verdict in [pdl_sat(phi).verdict]
+    ]
+    code, _, err = run(capsys, "equisat-fuzz", "--dialect", "pdl", "--count", "4", "--seed", "3")
+    assert code == 1 and err.count("counterexample: ") == 4
+
+
+def test_witness_fuzz_records_a_false_grounding(capsys, monkeypatch):
+    monkeypatch.setattr(fuzzing.semantics, "check", lambda *args: False)
+    report = fuzzing.run_witness_fuzz(Dialect.IPDL, 3, 3)
+    assert report.passed is False and report.checked == 3
+    assert [failure.detail for failure in report.failures] == [
+        "grounding false at the witness state after gadget attachment"] * 3
+    code, _, err = run(capsys, "equisat-fuzz", "--dialect", "ipdl", "--count", "3", "--seed", "3")
+    assert code == 1 and err.count("counterexample: ") == 3
 
 
 def test_equisat_fuzz_complete_mode_needs_pdl(capsys):

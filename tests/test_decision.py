@@ -27,14 +27,17 @@ from pdlkit.syntax import (
     Dialect,
     DialectError,
     Par,
+    Special,
     Star,
     Test,
     Var,
     conj,
     diamond,
+    fold,
     metrics,
     neg,
     parse_formula,
+    validate,
 )
 
 import _reference
@@ -129,11 +132,16 @@ def test_bounded_sat_builds_a_model_only_for_the_witness(dialect, universal_vars
 
 def _reference_scan(phi, dialect, max_states, cap, universal_vars=()):
     """bounded_sat's search written out with the reference evaluator:
-    (verdict, bound_used, witness model, witness state) of the first hit."""
+    (verdict, bound_used, witness model, witness state) of the first hit.
+    The star function spans all state pairs when a Special or || node reads
+    it, and is empty otherwise."""
     m = metrics(phi)
     forced = frozenset(universal_vars)
+    reads_star = fold(phi, lambda node, results: type(node) in (Special, Par) or any(results))
     for size in range(1, max_states + 1):
-        support = list(itertools.product(range(size), repeat=2)) if dialect is PRSPDL else ()
+        support = []
+        if dialect is PRSPDL and reads_star:
+            support = list(itertools.product(range(size), repeat=2))
         stream = _reference.enumerate_models(
             size, m.atoms, sorted(m.variables - forced), dialect, star_support=support
         )
@@ -146,6 +154,27 @@ def _reference_scan(phi, dialect, max_states, cap, universal_vars=()):
             if holds:
                 return Verdict.SATISFIABLE, size, model, min(holds)
     return Verdict.UNKNOWN_AT_BOUND, max_states, None, None
+
+
+def test_prspdl_searches_no_star_function_for_a_formula_that_reads_none():
+    # PRSPDL then searches PDL's models, and finds PDL's first hit with an
+    # empty star function
+    shared, hit_sizes = 0, []
+    for phi in formula_corpus(7, 400, PDL, 8, 2, 2):
+        try:
+            validate(phi, PRSPDL)
+        except DialectError:
+            continue
+        shared += 1
+        pdl, prspdl = bounded_sat(phi, PDL, 3, 2000), bounded_sat(phi, PRSPDL, 3, 2000)
+        assert (prspdl.verdict, prspdl.bound_used) == (pdl.verdict, pdl.bound_used)
+        if pdl.witness is not None:
+            hit_sizes.append(pdl.bound_used)
+            (model, state), expected = prspdl.witness, pdl.witness
+            assert (model.rows, model.truth, model.stars, state) == (
+                expected.model.rows, expected.model.truth, {}, expected.state)
+    # ~(p1 -> [a2]p1) is the corpus's one first hit at two states
+    assert shared == 383 and len(hit_sizes) == 339 and hit_sizes.count(2) == 1
 
 
 # first hits at two states: true at state 1 only, or at both states

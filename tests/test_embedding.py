@@ -157,6 +157,8 @@ def test_gadget_model_examples():
 
     with pytest.raises(EmbeddingError):
         gadget_model(0, 1)
+    with pytest.raises(EmbeddingError, match="atom index must be >= 1"):
+        gadget_model(1, 0)
 
 
 def test_root_detector_identifies_gadget_and_root():

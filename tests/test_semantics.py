@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import re
 import random
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import pdlkit
 from pdlkit import bitslice, semantics
+from pdlkit.decision import bounded_sat
 from pdlkit.embedding import gadget_model
 from pdlkit.fuzzing import formula_corpus
 from pdlkit.semantics import (
@@ -40,6 +42,7 @@ from pdlkit.syntax import (
     Box,
     Choice,
     Dialect,
+    DialectError,
     Implies,
     Inter,
     Par,
@@ -56,6 +59,7 @@ from pdlkit.syntax import (
     parse_formula,
     parse_program,
     substitute,
+    validate,
 )
 
 import _reference
@@ -280,6 +284,21 @@ def test_check_examples():
     assert check(m, 0, Implies(Var(1), FALSUM), PDL) is True
 
 
+def test_every_evaluation_entry_checks_the_dialect():
+    phi = parse_formula("[a1 u a2]p1", PDL)
+    with pytest.raises(DialectError) as refused:
+        validate(phi, PRSPDL)
+    model = KripkeModel(2, {1: {(0, 1)}}, {1: {1}}, {})
+    for evaluate in (
+        lambda: truth_set(model, phi, PRSPDL),
+        lambda: check(model, 0, phi, PRSPDL),
+        lambda: relation_of(model, phi.program, PRSPDL),
+        lambda: bounded_sat(phi, PRSPDL, 1),
+    ):
+        with pytest.raises(DialectError, match=re.escape(str(refused.value))):
+            evaluate()
+
+
 def test_check_state_out_of_range():
     with pytest.raises(ModelError):
         check(KripkeModel(1), 1, TOP, PDL)
@@ -304,6 +323,8 @@ def test_box_star_unreachable_states_vacuous():
 
 
 def test_enumerate_counts():
+    with pytest.raises(ModelError):
+        next(enumerate_models(0, {1}, (), PDL))
     assert len(list(enumerate_models(1, {1}, (), PDL))) == 2
     assert len(list(enumerate_models(1, (), {1}, PDL))) == 2
     assert len(list(enumerate_models(2, {1}, (), PDL))) == 16
@@ -403,7 +424,7 @@ def test_sliced_evaluation_matches_run_per_model(dialect, forced):
             layout = semantics._layout(size, plan.atoms, variables, support, forced)
             space = 1 << layout.width
             for c0, count in _chunks(space):
-                holds = bitslice.run(plan, bitslice.chunk(layout, c0, count, plan.star))
+                holds = bitslice.run(plan, bitslice.chunk(layout, c0, count))
                 assert len(holds) == size and all(h >> count == 0 for h in holds)
                 for k in range(count):
                     expected = semantics._run(plan, semantics._decode(layout, c0 + k))
@@ -450,6 +471,63 @@ def test_json_round_trip_exact():
     assert "star" not in model_to_json(plain)
 
 
+_GOLDEN_JSON = """\
+{
+  "states": 2,
+  "relations": {
+    "a1": [
+      [
+        0,
+        0
+      ]
+    ],
+    "a2": [
+      [
+        0,
+        1
+      ],
+      [
+        1,
+        0
+      ]
+    ]
+  },
+  "valuation": {
+    "p1": [
+      1
+    ],
+    "p2": [
+      0,
+      1
+    ]
+  },
+  "star": [
+    [
+      0,
+      1,
+      [
+        0,
+        1
+      ]
+    ],
+    [
+      1,
+      0,
+      [
+        1
+      ]
+    ]
+  ]
+}"""
+
+
+def test_json_text_is_sorted_whatever_the_insertion_order():
+    # atoms, pairs, variables, states and star pairs all entered out of order
+    m = KripkeModel(2, {2: [(1, 0), (0, 1)], 1: [(0, 0)]}, {2: [1, 0], 1: [1]},
+                    {(1, 0): [1], (0, 1): [1, 0], (1, 1): []})
+    assert model_to_json(m) == _GOLDEN_JSON
+
+
 def test_json_rejects_malformed_input():
     with pytest.raises(ModelError):
         model_from_json("not json")
@@ -483,6 +561,11 @@ def test_json_rejects_malformed_input():
     ):
         with pytest.raises(ModelError):
             model_from_json(text)
+    # a TypeError or ValueError from a badly shaped entry is a ModelError too
+    for table in ('"relations": {"a1": [[0]]}', '"relations": {"a1": 5}',
+                  '"valuation": {"p1": 3}'):
+        with pytest.raises(ModelError, match="malformed model JSON: "):
+            model_from_json(f'{{"states": 2, {table}}}')
     for star in ('null', '{"x": 1}', '[[0, 0]]', '[[0, 0, 5]]'):
         with pytest.raises(ModelError, match="'star' must be a list of"):
             model_from_json(f'{{"states": 2, "star": {star}}}')

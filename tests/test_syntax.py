@@ -34,6 +34,7 @@ from pdlkit.syntax import (
     Star,
     Test,
     Var,
+    children,
     conj,
     diamond,
     disj,
@@ -151,6 +152,8 @@ def test_print_examples():
     assert print_formula(diamond(Atomic(1), Var(1))) == "<a1>p1"
     assert print_formula(conj(Var(1), Var(2))) == "~(p1 -> ~p2)"
     assert print_program(Choice(Atomic(1), Choice(Atomic(2), Atomic(3)))) == "a1 u (a2 u a3)"
+    with pytest.raises(TypeError, match="not a formula or program node: 42"):
+        print_formula(42)
 
 
 def test_substitute_examples():
@@ -250,6 +253,8 @@ def test_nodes_are_immutable_and_checked():
     for build, bad in ((Var, 0), (Atomic, -1), (Special, "r3")):
         with pytest.raises(ValueError):
             build(bad)
+    with pytest.raises(TypeError, match="not a formula or program node: 42"):
+        children(42)
     assert repr(Box(Atomic(1), Var(2))) == "Box(program=Atomic(index=1), body=Var(index=2))"
 
 
