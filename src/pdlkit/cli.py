@@ -63,8 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sat", help="decide or search satisfiability")
     add_common(p)
     p.add_argument("--bounded", type=int, metavar="N",
-                   help="bounded model search up to N states (without it, PDL "
-                   "runs the complete decision procedure)")
+                   help="bounded model search up to N states, N <= 256 (without "
+                   "it, PDL runs the complete decision procedure)")
     p.add_argument("--cap", type=int, default=20000,
                    help="models examined per state count (default 20000)")
     p.add_argument("--emit-witness", metavar="PATH",
@@ -173,12 +173,19 @@ def cmd_check(args) -> int:
     return 0
 
 
+# Each size s of a bounded search lays out s² slots per atom, and under
+# PRSPDL s² star pairs, so the work up to N grows as N³.
+_MAX_BOUNDED = 256
+
+
 def cmd_sat(args) -> int:
     use_complete = args.bounded is None
     if use_complete and args.dialect is not Dialect.PDL:
         raise ValueError(f"{args.dialect.value.upper()} needs --bounded N")
     if not use_complete:
         _at_least_one("--bounded", args.bounded)
+        if args.bounded > _MAX_BOUNDED:
+            raise ValueError(f"--bounded must be <= {_MAX_BOUNDED}")
         _at_least_one("--cap", args.cap)
     for phi in _input_formulas(args):
         if use_complete:

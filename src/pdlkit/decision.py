@@ -26,6 +26,14 @@ which star demands must. A type with fewer fulfilled demands than
 demands is deleted, and rounds go on until none is. A surviving goal
 type yields a witness model, one successor per modal demand, that is
 verified by the model checker before the verdict is returned.
+
+Types are built and eliminated in two passes. Pass 1 keeps only the
+first saturation of each seed, and a branch tries its parts in rule
+order, so a false [alpha*]psi tries ~psi, fulfilling it now, before
+~[alpha][alpha*]psi. If the goal type survives there, its witness is the
+answer. Otherwise, or once pass 1 needs more types than the ceiling,
+pass 2 keeps every saturation, so every Unsatisfiable and every
+CapacityError comes from the whole demand-reachable set.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import semantics
 from .semantics import KripkeModel
@@ -218,15 +226,14 @@ def fl_closure(phi: Formula) -> frozenset[Formula]:
 
 def _saturate(
     seed: Iterable[int], expand: list[tuple[bool, tuple[int, ...]]]
-) -> list[int]:
-    """All consistent saturations of the signed seed, deduplicated, each
+) -> Iterator[int]:
+    """The consistent saturations of the signed seed, deduplicated, each
     a type: an int with bit lit set for every literal lit in it.
 
     Decomposed literals stay in the type, so a finished type records the
     polarity of everything processed and contradictions surface as a
-    lit/complement clash.
+    lit/complement clash. A branch tries its parts in rule order.
     """
-    results: list[int] = []
     emitted: set[int] = set()
     stack: list[tuple[int, list[int]]] = [(0, list(seed))]
     while stack:
@@ -240,14 +247,13 @@ def _saturate(
             assigned |= 1 << lit
             branch, parts = expand[lit]
             if branch:
-                stack.extend((assigned, pending + [part]) for part in parts)
+                stack.extend((assigned, pending + [part]) for part in reversed(parts))
                 break
             pending.extend(parts)
         else:
             if assigned not in emitted:
                 emitted.add(assigned)
-                results.append(assigned)
-    return results
+                yield assigned
 
 
 # A type's demands: each member negated in it, in increasing order, with
@@ -284,10 +290,29 @@ def _fulfilled_pairs(
 
 
 def pdl_sat(phi: Formula, max_nodes: int = 100000) -> SatResult:
-    """Complete satisfiability for regular PDL; see the module docstring."""
+    """Complete satisfiability for regular PDL; see the module docstring.
+
+    Pass 1 keeps each seed's first saturation, which fulfils a star
+    demand before it defers it; pass 2 keeps them all, and runs only when
+    pass 1's root type dies or needs more than max_nodes types.
+    """
     validate(phi, Dialect.PDL)
     closure = _closure_list(phi)
+    try:
+        greedy = _decide(phi, closure, max_nodes, 1)
+        if greedy.verdict is Verdict.SATISFIABLE:
+            return greedy
+    except CapacityError:
+        pass
+    return _decide(phi, closure, max_nodes, None)
 
+
+def _decide(
+    phi: Formula, closure: _Closure, max_nodes: int, per_seed: Optional[int]
+) -> SatResult:
+    """Elimination over the types reached from phi when each seed keeps
+    its first per_seed saturations (all of them when None): Unsatisfiable
+    when the root types all die, else a witness from a surviving one."""
     nodes: list[int] = []
     node_ids: dict[int, int] = {}
     seed_cache: dict[int, tuple[int, ...]] = {}
@@ -298,7 +323,8 @@ def pdl_sat(phi: Formula, max_nodes: int = 100000) -> SatResult:
         key = bodies | 1 << lit
         if key not in seed_cache:
             ids = []
-            for node in _saturate([*semantics._bits(bodies), lit], closure.expand):
+            seed = [*semantics._bits(bodies), lit]
+            for node in itertools.islice(_saturate(seed, closure.expand), per_seed):
                 nid = node_ids.setdefault(node, len(nodes))
                 if nid == len(nodes):
                     if nid >= max_nodes:
@@ -390,10 +416,10 @@ def _extract_witness(
                 relations.setdefault(closure.modal[i][0], set()).add(
                     (state_of[nid], state_of[target]))
     valuation: dict[int, set[int]] = {}
+    true_variables = semantics._mask(2 * i for i in closure.variables)
     for nid, state in state_of.items():
-        for lit in semantics._bits(nodes[nid]):
-            if not lit & 1 and lit >> 1 in closure.variables:
-                valuation.setdefault(closure.variables[lit >> 1], set()).add(state)
+        for lit in semantics._bits(nodes[nid] & true_variables):
+            valuation.setdefault(closure.variables[lit >> 1], set()).add(state)
     model = KripkeModel(len(state_of), relations, valuation)
     if not semantics.check(model, 0, phi, Dialect.PDL):
         raise AssertionError("extracted witness failed model checking")

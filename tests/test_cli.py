@@ -193,6 +193,9 @@ def test_sat_usage_errors(capsys):
      "--max-states and --cap apply to witness mode only"),
     (("gadget", "1001", "1"), "gadget index m must be <= 1000"),
     (("gadget", str(10**9), "1"), "gadget index m must be <= 1000"),
+    (("sat", "--dialect", "prspdl", "--bounded", "257", "--cap", "1", "(<a1 || a1>p1) & false"),
+     "--bounded must be <= 256"),
+    (("sat", "--dialect", "pdl", "--bounded", str(10**9), "p1"), "--bounded must be <= 256"),
 ])
 def test_out_of_range_search_bounds_are_input_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -8,6 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
+from pdlkit import decision
 from pdlkit.decision import (
     CapacityError,
     SatResult,
@@ -321,27 +322,85 @@ def _outcome(decide, formula, max_nodes):
         return CapacityError
 
 
+def _assert_witness(result, formula):
+    if result.witness is not None:
+        w = result.witness
+        assert check(w.model, w.state, formula, PDL) is True
+
+
 def test_pdl_sat_matches_reference_elimination():
     # frozenset types and sweep-until-stable fulfilment give the same
-    # verdicts, on inputs and on their variable-free groundings, and run
-    # out of types at the same ceiling, since types are numbered alike
+    # verdicts, on inputs and on their variable-free groundings. At a
+    # ceiling of 60 types pdl_sat runs out only where the reference does,
+    # since both then need the whole demand-reachable set; where only the
+    # reference runs out, pass 1 found a witness within the ceiling
     verdicts = []
-    capped = 0
+    capped = own_capped = 0
     for phi in formula_corpus(31, 300, PDL, max_size=10, max_vars=2, max_atoms=2):
         for formula in (phi, embed(phi, PDL)):
             result = pdl_sat(formula)
             assert result.verdict is _reference.pdl_sat_verdict(formula)
-            if result.witness is not None:
-                w = result.witness
-                assert check(w.model, w.state, formula, PDL) is True
+            _assert_witness(result, formula)
             verdicts.append(result.verdict)
             ceiling = _outcome(_reference.pdl_sat_verdict, formula, 60)
             got = _outcome(pdl_sat, formula, 60)
-            assert (got if got is CapacityError else got.verdict) is ceiling
+            if got is CapacityError:
+                assert ceiling is CapacityError
+                own_capped += 1
+            else:
+                assert got.verdict is (Verdict.SATISFIABLE if ceiling is CapacityError else ceiling)
+                _assert_witness(got, formula)
             capped += ceiling is CapacityError
     assert verdicts.count(Verdict.UNSATISFIABLE) >= 50
     assert verdicts.count(Verdict.SATISFIABLE) >= 500
-    assert capped >= 200
+    assert capped >= 200 and own_capped >= 75
+
+
+# formulas that pass 1 cannot settle: the first saturation of
+# [a2][a2]true -> p1, say, takes ~[a2][a2]true, whose a2-successor must
+# refute [a2]true and has no consistent saturation. Every Unsatisfiable
+# comes from pass 2.
+_FALLBACK = [
+    ("[a2][a2]true -> p1", Verdict.SATISFIABLE),
+    ("[a2]true -> [a1]true", Verdict.SATISFIABLE),
+    ("(p2 -> [a1]true) -> [a2]p1", Verdict.SATISFIABLE),
+    ("[a1*]false", Verdict.UNSATISFIABLE),
+    ("<a1*>p1 & [a1*]~p1", Verdict.UNSATISFIABLE),
+    ("<a1*>p1 & [a1*](~p1 & <a1>true)", Verdict.UNSATISFIABLE),
+    ("~[a2][a3]false & [a2](<a1*>p1 & [a1*](~p1 & <a1>true))", Verdict.UNSATISFIABLE),
+]
+
+
+def _recording_passes(monkeypatch) -> list:
+    """Records the per_seed argument of every pass pdl_sat runs."""
+    passes = []
+    decide = decision._decide
+
+    def recording(phi, closure, max_nodes, per_seed):
+        passes.append(per_seed)
+        return decide(phi, closure, max_nodes, per_seed)
+
+    monkeypatch.setattr(decision, "_decide", recording)
+    return passes
+
+
+@pytest.mark.parametrize("text, verdict", _FALLBACK)
+def test_pdl_sat_falls_back_to_every_saturation(text, verdict, monkeypatch):
+    passes = _recording_passes(monkeypatch)
+    phi = parse_formula(text, PDL)
+    result = pdl_sat(phi)
+    assert result.verdict is verdict and passes == [1, None]
+    _assert_witness(result, phi)
+    assert (result.witness is None) is (verdict is Verdict.UNSATISFIABLE)
+
+
+def test_pdl_sat_pass_1_settles_most_gate_calls(monkeypatch):
+    passes = _recording_passes(monkeypatch)
+    corpus = formula_corpus(20260819, 500, PDL, max_size=12, max_vars=3, max_atoms=2)
+    for phi in corpus:
+        for formula in (phi, embed(phi, PDL)):
+            pdl_sat(formula)
+    assert passes.count(1) == 1000 and passes.count(None) <= 200
 
 
 # --- properties ---
